@@ -2,9 +2,7 @@
 // paper's own tables:
 //   1. Degree-of-truth caching (Section 3.3's "pre-computed ... indexed")
 //      — cold vs warm predicate evaluation latency.
-//   2. Fagin's Threshold Algorithm vs a full scan for conjunctive top-k
-//      over cached degree lists (related-work machinery, Fagin 2003).
-//   3. One-marker vs fractional phrase-to-marker assignment (Section
+//   2. One-marker vs fractional phrase-to-marker assignment (Section
 //      4.2.2 leaves fractional contribution to future work; we implement
 //      both and compare result quality).
 #include <cstdio>
@@ -38,26 +36,6 @@ void DegreeCacheAblation(const eval::DomainArtifacts& artifacts) {
   printf("   cold (interpret + evaluate): %8.4f s\n", cold_s);
   printf("   warm (cache lookup):         %8.6f s   speedup %.0fx\n\n",
          warm_s, cold_s / warm_s);
-
-  // 2. TA vs full scan over the cached lists.
-  fuzzy::TaStats stats;
-  Timer ta_timer;
-  for (int round = 0; round < 200; ++round) {
-    cache.TopKConjunction({predicates[0], predicates[1], predicates[2]},
-                          10, round == 0 ? &stats : nullptr);
-  }
-  const double ta_s = ta_timer.ElapsedSeconds() / 200.0;
-  Timer scan_timer;
-  for (int round = 0; round < 200; ++round) {
-    cache.TopKConjunctionFullScan(
-        {predicates[0], predicates[1], predicates[2]}, 10);
-  }
-  const double scan_s = scan_timer.ElapsedSeconds() / 200.0;
-  printf("2. Conjunctive top-10 over cached degrees\n");
-  printf("   Threshold Algorithm: %8.6f s (%zu sorted accesses of %zu "
-         "possible)\n",
-         ta_s, stats.sorted_accesses, 3 * db.corpus().num_entities());
-  printf("   Full scan:           %8.6f s\n\n", scan_s);
 }
 
 void FractionalAblation() {
@@ -97,7 +75,7 @@ void FractionalAblation() {
     }
     quality[config] = sum / workload.size();
   }
-  printf("3. Phrase-to-marker assignment (medium workload quality)\n");
+  printf("2. Phrase-to-marker assignment (medium workload quality)\n");
   printf("   one-marker (paper):   NDCG@10 %.3f\n", quality[0]);
   printf("   fractional (future):  NDCG@10 %.3f\n", quality[1]);
   printf("   -> fractional assignment is implemented and does not hurt "

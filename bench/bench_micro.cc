@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the core kernels: BM25 top-k,
 // fuzzy evaluation (both t-norm variants — the DESIGN.md ablation),
-// Fagin's TA vs full scan, k-d tree search, logistic-regression
+// k-d tree search, logistic-regression
 // inference, tokenization, marker-summary aggregation and the
 // observability primitives. After the google-benchmark run, a
 // threads={1,2,4,8} sweep of PrecomputeMarkers and ExecuteQuery on the
@@ -10,8 +10,7 @@
 // metrics-overhead numbers DESIGN.md "Observability" quotes (skip with
 // OPINEDB_SKIP_OBS_SWEEP=1). Finally, a physical-plan sweep pits the
 // dense scan against the objective-pushdown filtered scan across
-// price_pn selectivities and against the TA fast path on a warm degree
-// cache, writing BENCH_planner.json (skip with
+// price_pn selectivities, writing BENCH_planner.json (skip with
 // OPINEDB_SKIP_PLANNER_SWEEP=1), and a snapshot-store sweep times
 // SaveDatabase / OpenDatabase / corrupted-generation fallback recovery,
 // writing BENCH_snapshot.json (skip with OPINEDB_SKIP_SNAPSHOT_SWEEP=1),
@@ -39,7 +38,6 @@
 #include "core/marker_summary.h"
 #include "embedding/kdtree.h"
 #include "fuzzy/logic.h"
-#include "fuzzy/threshold_algorithm.h"
 #include "index/inverted_index.h"
 #include "ml/logistic_regression.h"
 #include "obs/metrics.h"
@@ -94,34 +92,6 @@ void BM_FuzzyEvaluate(benchmark::State& state) {
 BENCHMARK(BM_FuzzyEvaluate)
     ->Arg(static_cast<int>(fuzzy::Variant::kGodel))
     ->Arg(static_cast<int>(fuzzy::Variant::kProduct));
-
-std::vector<std::vector<double>> RandomLists(size_t lists, size_t entities) {
-  Rng rng(3);
-  std::vector<std::vector<double>> out(lists,
-                                       std::vector<double>(entities));
-  for (auto& list : out) {
-    for (auto& v : list) v = rng.Uniform();
-  }
-  return out;
-}
-
-void BM_ThresholdAlgorithm(benchmark::State& state) {
-  auto lists = RandomLists(3, static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fuzzy::ThresholdAlgorithmTopK(
-        lists, 10, fuzzy::Variant::kProduct));
-  }
-}
-BENCHMARK(BM_ThresholdAlgorithm)->Arg(1000)->Arg(10000);
-
-void BM_FullScanTopK(benchmark::State& state) {
-  auto lists = RandomLists(3, static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fuzzy::FullScanTopK(lists, 10, fuzzy::Variant::kProduct));
-  }
-}
-BENCHMARK(BM_FullScanTopK)->Arg(1000)->Arg(10000);
 
 void BM_KdTreeNearest(benchmark::State& state) {
   Rng rng(4);
@@ -425,8 +395,8 @@ void RunObsOverheadSweep() {
 // ------------------------------------------------ Planner plan sweep.
 
 void RunPlannerSweep() {
-  printf("\nPlanner sweep: dense scan vs objective pushdown vs TA fast "
-         "path on the seed hotel dataset...\n");
+  printf("\nPlanner sweep: dense scan vs objective pushdown on the seed "
+         "hotel dataset...\n");
   auto artifacts =
       eval::BuildArtifacts(datagen::HotelDomain(), bench::HotelBuildOptions());
   core::OpineDb& db = *artifacts.db;
@@ -482,31 +452,6 @@ void RunPlannerSweep() {
            filtered_ms.back(), pushdown_speedup.back());
   }
 
-  // TA fast path: conjunctive subjective query over a warm degree
-  // cache. Dense still reads the cached lists, so the delta is pure
-  // combine+rank work vs Fagin early termination.
-  core::DegreeCache cache(&db);
-  db.AttachDegreeCache(&cache);
-  const std::string ta_sql =
-      "select * from hotels where \"clean room\" and \"friendly staff\" "
-      "limit 10";
-  core::QueryResult ta_result;
-  (void)run_forced(core::PlanForce::kDenseScan, ta_sql, nullptr);  // Warm.
-  const double ta_dense_ms =
-      run_forced(core::PlanForce::kDenseScan, ta_sql, nullptr);
-  const double ta_ms = run_forced(core::PlanForce::kTaTopK, ta_sql,
-                                  &ta_result);
-  db.AttachDegreeCache(nullptr);
-  if (ta_result.plan != core::PlanKind::kTaTopK) {
-    fprintf(stderr, "expected ta_topk plan\n");
-    std::exit(1);
-  }
-  const double ta_speedup = ta_dense_ms / ta_ms;
-  printf("  TA (warm cache): dense %7.2f ms  ta %.2f ms  speedup %.2fx  "
-         "entities_seen %zu/%zu\n",
-         ta_dense_ms, ta_ms, ta_speedup, ta_result.stats.entities_scored,
-         num_entities);
-
   FILE* out = fopen("BENCH_planner.json", "w");
   if (out == nullptr) {
     fprintf(stderr, "cannot write BENCH_planner.json\n");
@@ -526,18 +471,12 @@ void RunPlannerSweep() {
   fprintf(out, "  \"dense_ms\": %s,\n", bench::JsonArray(dense_ms).c_str());
   fprintf(out, "  \"filtered_ms\": %s,\n",
           bench::JsonArray(filtered_ms).c_str());
-  fprintf(out, "  \"pushdown_speedup\": %s,\n",
+  fprintf(out, "  \"pushdown_speedup\": %s\n",
           bench::JsonArray(pushdown_speedup).c_str());
-  fprintf(out, "  \"ta_dense_ms\": %g,\n", ta_dense_ms);
-  fprintf(out, "  \"ta_ms\": %g,\n", ta_ms);
-  fprintf(out, "  \"ta_speedup\": %g,\n", ta_speedup);
-  fprintf(out, "  \"ta_entities_seen\": %zu\n",
-          ta_result.stats.entities_scored);
   fprintf(out, "}\n");
   fclose(out);
-  printf("  wrote BENCH_planner.json (most selective pushdown %.2fx, "
-         "TA %.2fx)\n",
-         pushdown_speedup.front(), ta_speedup);
+  printf("  wrote BENCH_planner.json (most selective pushdown %.2fx)\n",
+         pushdown_speedup.front());
 }
 
 // ------------------------------------------------ Snapshot store sweep.

@@ -4,7 +4,7 @@
 //   * user profiles re-ranking results by what this traveler cares about,
 //   * expectation mining ("an expensive hotel with dirty rooms is worth
 //     pointing out"),
-//   * degree-of-truth caching and Threshold-Algorithm top-k, and
+//   * degree-of-truth caching for a hot query path, and
 //   * persisting the subjective database to disk and reloading it.
 #include <cstdio>
 #include <sstream>
@@ -25,7 +25,7 @@ int main() {
   options.seed = 31;
   printf("Voyageur: building the travel subjective database...\n\n");
   auto artifacts = eval::BuildArtifacts(datagen::HotelDomain(), options);
-  const auto& db = *artifacts.db;
+  auto& db = *artifacts.db;
 
   // A base experiential query.
   const char* sql =
@@ -61,17 +61,24 @@ int main() {
     }
   }
 
-  // Degree caching + Threshold-Algorithm top-k for a hot query path.
-  printf("\nCached conjunctive top-3 via the Threshold Algorithm:\n");
+  // Degree caching for a hot query path: once both lists are resident,
+  // the query reads them instead of re-scoring every entity.
+  printf("\nCached conjunctive top-3 over resident degree lists:\n");
   core::DegreeCache cache(&db);
-  fuzzy::TaStats stats;
-  for (const auto& ranked : cache.TopKConjunction(
-           {"friendly staff", "delicious breakfast"}, 3, &stats)) {
-    printf("  %-12s %.3f\n",
-           db.corpus().entity_name(ranked.entity).c_str(), ranked.score);
+  db.AttachDegreeCache(&cache);
+  const char* hot_sql =
+      "select * from hotels where \"friendly staff\" and "
+      "\"delicious breakfast\" limit 3";
+  (void)db.Execute(hot_sql);  // Materializes both lists.
+  auto hot = db.Execute(hot_sql);
+  db.AttachDegreeCache(nullptr);
+  if (hot.ok()) {
+    for (const auto& r : hot->results) {
+      printf("  %-12s %.3f\n", r.entity_name.c_str(), r.score);
+    }
+    printf("  (%zu of %zu degree lists served from the cache)\n",
+           hot->stats.cache_hits, cache.size());
   }
-  printf("  (%zu sorted accesses instead of %zu)\n", stats.sorted_accesses,
-         2 * db.corpus().num_entities());
 
   // Persist and reload the queryable state.
   std::stringstream schema_file, summaries_file, embeddings_file;

@@ -5,6 +5,8 @@
 #include <mutex>
 #include <vector>
 
+#include "common/bytes.h"
+
 namespace opinedb::cache {
 
 namespace {
@@ -19,29 +21,6 @@ constexpr size_t kMaxEntries = 1u << 22;       // 4M predicates.
 constexpr size_t kMaxAtoms = 1u << 12;         // Atoms per predicate.
 constexpr size_t kMaxRepDim = 1u << 16;        // Embedding dims.
 constexpr size_t kMaxStringLength = 1u << 20;  // 1 MiB per key.
-
-/// Netstring-style string encoding: "<length>:<bytes>" — robust to
-/// spaces inside normalized predicates.
-void WriteString(const std::string& s, std::ostream* out) {
-  *out << s.size() << ':' << s;
-}
-
-Result<std::string> ReadString(std::istream* in) {
-  size_t length = 0;
-  char colon = 0;
-  if (!(*in >> length) || !in->get(colon) || colon != ':') {
-    return Status::ParseError("bad string header");
-  }
-  if (length > kMaxStringLength) {
-    return Status::ParseError("implausible string length " +
-                              std::to_string(length));
-  }
-  std::string s(length, '\0');
-  if (!in->read(s.data(), static_cast<std::streamsize>(length))) {
-    return Status::ParseError("truncated string");
-  }
-  return s;
-}
 
 char MethodChar(core::InterpretMethod method) {
   switch (method) {
@@ -194,7 +173,7 @@ Status LoadInterpretationCache(std::istream* in, uint64_t epoch,
                               std::to_string(num_entries));
   }
   for (size_t i = 0; i < num_entries; ++i) {
-    auto key = ReadString(in);
+    auto key = ReadString(in, kMaxStringLength);
     if (!key.ok()) {
       cache->Clear();
       return key.status();

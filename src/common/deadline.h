@@ -27,8 +27,8 @@ class CancellationToken {
 };
 
 /// A wall-clock budget plus an optional external cancellation token,
-/// polled at coarse checkpoints (per condition, per chunk, per TA round
-/// — never per arithmetic op). A default-constructed deadline never
+/// polled at coarse checkpoints (per condition, per chunk — never per
+/// arithmetic op). A default-constructed deadline never
 /// expires, so unconditioned code can thread a pointer through without
 /// branching on "is there a deadline at all".
 ///

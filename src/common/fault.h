@@ -35,7 +35,6 @@ inline constexpr const char* kSites[] = {
     "score.features",        // OpineDb::AtomDegreeOfTruth entry.
     "score.text_fallback",   // OpineDb::TextFallbackDegree entry.
     "score.alloc",           // Degree-list allocation in SubjectiveScoreOp.
-    "ta.round",              // ThresholdAlgorithmTopK round loop.
     "cache.interp_lookup",   // Interpretation-cache consult (ExecuteQuery
                              // prologue / PredicateDegreeOfTruth).
     "cache.interp_insert",   // Interpretation-cache fill.

@@ -204,42 +204,6 @@ size_t DegreeCache::PrecomputeMarkers() {
   return pending.size();
 }
 
-std::vector<fuzzy::RankedEntity> DegreeCache::TopKConjunction(
-    const std::vector<std::string>& predicates, size_t k,
-    fuzzy::TaStats* stats, const QueryDeadline* deadline) {
-  // Borrow the resident lists — references stay valid until Clear(), so
-  // the Threshold Algorithm reads them in place without copying.
-  std::vector<const std::vector<double>*> lists;
-  lists.reserve(predicates.size());
-  for (const auto& predicate : predicates) {
-    const std::vector<double>* list = TryDegrees(predicate, deadline);
-    // A list the deadline prevented from materializing leaves no sound
-    // aggregate to rank on; return empty (the caller flags partial).
-    if (list == nullptr) return {};
-    lists.push_back(list);
-  }
-  return fuzzy::ThresholdAlgorithmTopK(lists, k, db_->options().variant,
-                                       stats, deadline);
-}
-
-std::vector<fuzzy::RankedEntity> DegreeCache::TopKConjunctionFullScan(
-    const std::vector<std::string>& predicates, size_t k) {
-  std::vector<const std::vector<double>*> lists;
-  lists.reserve(predicates.size());
-  for (const auto& predicate : predicates) {
-    lists.push_back(&Degrees(predicate));
-  }
-  return fuzzy::FullScanTopK(lists, k, db_->options().variant);
-}
-
-const std::vector<double>* DegreeCache::Peek(
-    const std::string& predicate) const {
-  const Shard& shard = ShardFor(predicate);
-  std::shared_lock<std::shared_mutex> lock(shard.mu);
-  auto it = shard.map.find(predicate);
-  return it == shard.map.end() ? nullptr : &it->second.degrees;
-}
-
 bool DegreeCache::Contains(const std::string& predicate) const {
   const Shard& shard = ShardFor(predicate);
   std::shared_lock<std::shared_mutex> lock(shard.mu);

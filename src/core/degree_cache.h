@@ -10,7 +10,6 @@
 
 #include "common/deadline.h"
 #include "core/engine.h"
-#include "fuzzy/threshold_algorithm.h"
 
 namespace opinedb::core {
 
@@ -20,9 +19,8 @@ namespace opinedb::core {
 /// [Degrees for other phrases], once computed, can also be indexed."
 ///
 /// A DegreeCache materializes, per predicate, the dense list of degrees
-/// of truth over all entities. Cached lists also unlock Fagin's
-/// Threshold Algorithm for conjunctive top-k without scoring every
-/// entity.
+/// of truth over all entities; an attached cache serves those lists to
+/// every query plan in place of per-query scoring.
 ///
 /// Thread safety: every method except Clear() may be called from any
 /// number of threads concurrently. The cache is sharded by predicate
@@ -63,31 +61,11 @@ class DegreeCache {
   const std::vector<double>* TryDegrees(const std::string& predicate,
                                         const QueryDeadline* deadline);
 
-  /// Resident list for `predicate`, or nullptr if not cached yet. Never
-  /// computes and does not touch the hit/miss counters; planners use it
-  /// to test TA eligibility without perturbing cache stats.
-  const std::vector<double>* Peek(const std::string& predicate) const;
-
   /// Pre-computes the degrees for every marker phrase of every
   /// subjective attribute (the "variations in the linguistic domain"
   /// precomputation); returns the number of lists materialized. Markers
   /// fan out across the engine's worker pool.
   size_t PrecomputeMarkers();
-
-  /// Conjunctive fuzzy top-k over cached degree lists using the
-  /// Threshold Algorithm. `stats` (optional) receives access counts.
-  /// `deadline` (optional) is polled per TA round and while
-  /// materializing non-resident lists; on expiry the best top-k among
-  /// the entities aggregated so far is returned (exact scores, possibly
-  /// missing better entities — the caller flags the result partial).
-  std::vector<fuzzy::RankedEntity> TopKConjunction(
-      const std::vector<std::string>& predicates, size_t k,
-      fuzzy::TaStats* stats = nullptr,
-      const QueryDeadline* deadline = nullptr);
-
-  /// Same query answered by a full scan, for verification/ablation.
-  std::vector<fuzzy::RankedEntity> TopKConjunctionFullScan(
-      const std::vector<std::string>& predicates, size_t k);
 
   /// Ingest-path maintenance (instead of Clear()): brings every
   /// resident list up to date with the engine's post-ingest tables

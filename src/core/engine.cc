@@ -8,6 +8,7 @@
 
 #include "cache/interpretation_cache.h"
 #include "cache/result_cache.h"
+#include "common/bytes.h"
 #include "common/fault.h"
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -34,46 +35,9 @@ constexpr char kInterpCacheSection[] = "interp_cache";
 // ------------------------------------------------ WAL batch payloads.
 // The engine's encoding of one AppendReviews batch into one opaque WAL
 // record: u32 review count, then per review u32 entity | u32 reviewer |
-// u32 date | u64 body length | body bytes. Little-endian, byte-encoded
-// (same no-punning doctrine as storage/wal.cc). Review ids are NOT
-// encoded — replay re-assigns them by append order, which reproduces
-// the live assignment exactly.
-
-void AppendU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-bool ReadU32(const std::string& in, size_t* pos, uint32_t* out) {
-  if (in.size() - *pos < 4) return false;
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(in[*pos + i]))
-         << (8 * i);
-  }
-  *pos += 4;
-  *out = v;
-  return true;
-}
-
-bool ReadU64(const std::string& in, size_t* pos, uint64_t* out) {
-  if (in.size() - *pos < 8) return false;
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(in[*pos + i]))
-         << (8 * i);
-  }
-  *pos += 8;
-  *out = v;
-  return true;
-}
+// u32 date | u64 body length | body bytes, little-endian through
+// common/bytes.h. Review ids are NOT encoded — replay re-assigns them by
+// append order, which reproduces the live assignment exactly.
 
 std::string EncodeReviewBatch(const std::vector<text::Review>& reviews) {
   std::string out;
@@ -123,6 +87,46 @@ Result<std::vector<text::Review>> DecodeReviewBatch(
     return Status::ParseError("WAL batch: trailing bytes");
   }
   return reviews;
+}
+
+/// Interpretation-cache consult/fill for one subjective predicate,
+/// shared by ExecuteQuery and PredicateDegreeOfTruth. The cascade output
+/// is a pure function of (normalized predicate, epoch), so a hit skips
+/// `compute` (the w2v / co-occurrence lookups and the embedding
+/// prologue) whole. On a miss the computed entry is filled only when
+/// `fill` allows it and the interpretation is full-fidelity: a degraded
+/// entry would be served forever while the underlying fault is long
+/// gone. Cache failures are absorbed; the caller always gets an entry.
+template <typename Compute>
+cache::InterpretationCache::Entry InterpretThroughCache(
+    cache::InterpretationCache* interp_cache, const std::string& predicate,
+    uint64_t epoch, bool fill, Compute&& compute) {
+  std::string key;
+  if (interp_cache != nullptr) {
+    key = NormalizePredicate(predicate);
+    try {
+      OPINEDB_FAULT("cache.interp_lookup");
+      cache::InterpretationCache::Entry entry;
+      if (interp_cache->Lookup(key, epoch, &entry)) {
+        OPINEDB_METRIC_COUNT("engine.cache.interp_hit", 1);
+        return entry;
+      }
+      OPINEDB_METRIC_COUNT("engine.cache.interp_miss", 1);
+    } catch (const std::exception&) {
+      OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
+    }
+  }
+  cache::InterpretationCache::Entry entry = compute();
+  if (interp_cache != nullptr && fill && !entry.interpretation.degraded) {
+    try {
+      OPINEDB_FAULT("cache.interp_insert");
+      entry.epoch = epoch;
+      interp_cache->Insert(key, entry);
+    } catch (const std::exception&) {
+      OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
+    }
+  }
+  return entry;
 }
 
 /// The uniform rejection every mutating entry point returns while the
@@ -1080,53 +1084,25 @@ double OpineDb::PredicateDegreeOfTruth(const std::string& predicate,
   // Top-level entry point (like ExecuteQuery): hold the reconfiguration
   // lock shared so tables_/interpreter_ cannot be rebuilt mid-call.
   std::shared_lock<std::shared_mutex> reconfig_lock(reconfig_mu_);
-  const uint64_t cache_epoch = cache_epoch_.load(std::memory_order_relaxed);
-  std::string cache_key;
-  PredicateInterpretation interpretation;
-  embedding::Vec rep;
-  double senti = 0.0;
-  bool cached = false;
-  if (interp_cache_ != nullptr) {
-    cache_key = NormalizePredicate(predicate);
-    try {
-      OPINEDB_FAULT("cache.interp_lookup");
-      cache::InterpretationCache::Entry entry;
-      if (interp_cache_->Lookup(cache_key, cache_epoch, &entry)) {
-        interpretation = std::move(entry.interpretation);
-        rep = std::move(entry.rep);
-        senti = entry.sentiment;
-        cached = true;
-      }
-    } catch (const std::exception&) {
-      OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
-    }
-  }
-  if (!cached) interpretation = interpreter_->Interpret(predicate);
+  const auto entry = InterpretThroughCache(
+      interp_cache_.get(), predicate,
+      cache_epoch_.load(std::memory_order_relaxed), /*fill=*/true, [&] {
+        cache::InterpretationCache::Entry computed;
+        computed.interpretation = interpreter_->Interpret(predicate);
+        computed.rep = embedder_->Represent(predicate);
+        computed.sentiment = analyzer_.ScorePhrase(predicate);
+        return computed;
+      });
+  const PredicateInterpretation& interpretation = entry.interpretation;
   if (interpretation.method == InterpretMethod::kTextFallback ||
       interpretation.atoms.empty()) {
     return TextFallbackDegree(predicate, entity);
   }
-  if (!cached) {
-    rep = embedder_->Represent(predicate);
-    senti = analyzer_.ScorePhrase(predicate);
-    if (interp_cache_ != nullptr && !interpretation.degraded) {
-      try {
-        OPINEDB_FAULT("cache.interp_insert");
-        cache::InterpretationCache::Entry entry;
-        entry.interpretation = interpretation;
-        entry.rep = rep;
-        entry.sentiment = senti;
-        entry.epoch = cache_epoch;
-        interp_cache_->Insert(cache_key, std::move(entry));
-      } catch (const std::exception&) {
-        OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
-      }
-    }
-  }
   double acc = 0.0;
   bool first = true;
   for (const auto& atom : interpretation.atoms) {
-    const double d = AtomDegreeOfTruth(atom, entity, rep, senti);
+    const double d = AtomDegreeOfTruth(atom, entity, entry.rep,
+                                       entry.sentiment);
     if (first) {
       acc = d;
       first = false;
@@ -1170,7 +1146,7 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   QueryResult output;
   // Full tracing installs a per-query ring buffer as the calling
   // thread's ambient trace context; every TraceSpan below (and inside
-  // the interpreter / degree cache / TA on this thread) records into it.
+  // the interpreter / degree cache on this thread) records into it.
   // Worker threads never see the context, so spans cannot perturb the
   // parallel-vs-serial bit-identity contract.
   std::optional<obs::TraceScope> trace_scope;
@@ -1293,62 +1269,31 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
     for (size_t c = 0; c < num_conditions; ++c) {
       const Condition& condition = query.conditions[c];
       if (condition.kind != Condition::Kind::kSubjective) continue;
-      // Interpretation-cache consult: the cascade output is a pure
-      // function of (normalized predicate, epoch), so a hit skips the
-      // w2v / co-occurrence lookups and the embedding prologue whole.
-      std::string interp_key;
-      bool interp_cached = false;
-      if (interp_cache_ != nullptr) {
-        interp_key = NormalizePredicate(condition.subjective);
-        try {
-          OPINEDB_FAULT("cache.interp_lookup");
-          cache::InterpretationCache::Entry entry;
-          if (interp_cache_->Lookup(interp_key, cache_epoch, &entry)) {
-            output.interpretations[c] = std::move(entry.interpretation);
-            reps[c] = std::move(entry.rep);
-            sentis[c] = entry.sentiment;
-            interp_cached = true;
-            OPINEDB_METRIC_COUNT("engine.cache.interp_hit", 1);
-          } else {
-            OPINEDB_METRIC_COUNT("engine.cache.interp_miss", 1);
-          }
-        } catch (const std::exception&) {
-          OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
-        }
-      }
-      if (interp_cached) continue;
-      try {
-        OPINEDB_FAULT("interpret.embed");
-        output.interpretations[c] =
-            interpreter_->Interpret(condition.subjective, deadline);
-        reps[c] = embedder_->Represent(condition.subjective);
-        sentis[c] = analyzer_.ScorePhrase(condition.subjective);
-      } catch (const std::exception&) {
-        // Interpretation machinery unusable for this condition: degrade
-        // to the text-retrieval stage (which needs neither the
-        // embedding nor the sentiment prologue).
-        output.interpretations[c] = PredicateInterpretation();
-        output.interpretations[c].degraded = true;
-        OPINEDB_METRIC_COUNT("engine.fallback.interpret", 1);
-      }
-      if (output.interpretations[c].degraded) {
-        degraded = true;
-      } else if (interp_cache_ != nullptr && deadline == nullptr) {
-        // Fill only full-fidelity entries: a degraded interpretation
-        // would be served forever while the underlying fault is long
-        // gone, and a deadline-shaped one may have skipped stages.
-        try {
-          OPINEDB_FAULT("cache.interp_insert");
-          cache::InterpretationCache::Entry entry;
-          entry.interpretation = output.interpretations[c];
-          entry.rep = reps[c];
-          entry.sentiment = sentis[c];
-          entry.epoch = cache_epoch;
-          interp_cache_->Insert(interp_key, std::move(entry));
-        } catch (const std::exception&) {
-          OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
-        }
-      }
+      auto entry = InterpretThroughCache(
+          interp_cache_.get(), condition.subjective, cache_epoch,
+          // A deadline-shaped interpretation may have skipped stages.
+          /*fill=*/deadline == nullptr, [&] {
+            cache::InterpretationCache::Entry computed;
+            try {
+              OPINEDB_FAULT("interpret.embed");
+              computed.interpretation =
+                  interpreter_->Interpret(condition.subjective, deadline);
+              computed.rep = embedder_->Represent(condition.subjective);
+              computed.sentiment = analyzer_.ScorePhrase(condition.subjective);
+            } catch (const std::exception&) {
+              // Interpretation machinery unusable for this condition:
+              // degrade to the text-retrieval stage (which needs neither
+              // the embedding nor the sentiment prologue).
+              computed = cache::InterpretationCache::Entry();
+              computed.interpretation.degraded = true;
+              OPINEDB_METRIC_COUNT("engine.fallback.interpret", 1);
+            }
+            return computed;
+          });
+      if (entry.interpretation.degraded) degraded = true;
+      output.interpretations[c] = std::move(entry.interpretation);
+      reps[c] = std::move(entry.rep);
+      sentis[c] = entry.sentiment;
     }
   }
   output.stats.interpret_ms = phase.ElapsedMillis();
@@ -1367,38 +1312,17 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   ctx.deadline = deadline;
   phase.Reset();
   try {
-    if (physical.kind == PlanKind::kTaTopK) {
-      // One fused operator: cached lists in, ranked top-k out.
-      output.stats.scoring_ms = phase.ElapsedMillis();
-      phase.Reset();
-      Status status;
-      try {
-        status = TaTopKOp().Run(&ctx);
-      } catch (const std::exception&) {
-        // TA path unusable (fault in the cache or the index): fall back
-        // to the dense pipeline, which recomputes what it needs and
-        // degrades internally instead of throwing.
-        ctx.degraded.store(true, std::memory_order_relaxed);
-        OPINEDB_METRIC_COUNT("engine.fallback.ta", 1);
-        query_span.AddAttribute("fallback", "dense_scan");
-        status = SubjectiveScoreOp().Run(&ctx);
-        if (status.ok()) status = RankOp().Run(&ctx);
-      }
+    if (physical.kind == PlanKind::kFilteredScan) {
+      Status status = ObjectiveFilterOp().Run(&ctx);
       if (!status.ok()) return status;
-      output.stats.rank_ms = phase.ElapsedMillis();
-    } else {
-      if (physical.kind == PlanKind::kFilteredScan) {
-        Status status = ObjectiveFilterOp().Run(&ctx);
-        if (!status.ok()) return status;
-      }
-      Status status = SubjectiveScoreOp().Run(&ctx);
-      if (!status.ok()) return status;
-      output.stats.scoring_ms = phase.ElapsedMillis();
-      phase.Reset();
-      status = RankOp().Run(&ctx);
-      if (!status.ok()) return status;
-      output.stats.rank_ms = phase.ElapsedMillis();
     }
+    Status status = SubjectiveScoreOp().Run(&ctx);
+    if (!status.ok()) return status;
+    output.stats.scoring_ms = phase.ElapsedMillis();
+    phase.Reset();
+    status = RankOp().Run(&ctx);
+    if (!status.ok()) return status;
+    output.stats.rank_ms = phase.ElapsedMillis();
   } catch (const std::exception& e) {
     // Backstop: no exception escapes ExecuteQuery. Anything the
     // per-stage fallbacks could not absorb becomes a Status.
@@ -1449,9 +1373,6 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
         break;
       case PlanKind::kFilteredScan:
         OPINEDB_METRIC_COUNT("engine.plan.filtered_scan", 1);
-        break;
-      case PlanKind::kTaTopK:
-        OPINEDB_METRIC_COUNT("engine.plan.ta_topk", 1);
         break;
     }
   }

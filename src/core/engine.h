@@ -123,7 +123,7 @@ struct ExecutionStats {
 /// also the behaviour of the control-less Execute overloads.
 struct QueryControl {
   /// Wall-clock budget and/or cancellation token polled at operator
-  /// checkpoints (per condition, per chunk, per TA round). When it
+  /// checkpoints (per condition, per chunk). When it
   /// expires mid-query, ExecuteQuery stops starting new work and
   /// returns a QueryResult with partial = true whose ranking is
   /// prefix-consistent: every emitted score is the exact full score.
@@ -162,7 +162,7 @@ struct QueryResult {
   /// expiry, and every emitted score is the exact full score.
   bool partial = false;
   /// True when any stage fell back to a cheaper path after a failure
-  /// (interpreter stage, cache access, per-entity scoring, TA): the
+  /// (interpreter stage, cache access, per-entity scoring): the
   /// answer is complete but was not produced on the preferred path. See
   /// the engine.fallback.* counters and docs/ROBUSTNESS.md.
   bool degraded = false;
@@ -393,7 +393,7 @@ class OpineDb {
 
   /// Changes the observability level. Also flips the process-wide
   /// metrics switch (obs::SetMetricsEnabled) so library-internal
-  /// instrumentation (index, fuzzy TA, thread pool, membership) follows
+  /// instrumentation (index, thread pool, membership) follows
   /// this engine's level — with several engines per process the most
   /// recent call wins.
   void SetTraceLevel(obs::TraceLevel level);

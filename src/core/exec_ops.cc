@@ -383,54 +383,4 @@ Status RankOp::Run(ExecContext* ctx) const {
   return Status::OK();
 }
 
-Status TaTopKOp::Run(ExecContext* ctx) const {
-  const OpineDb& db = *ctx->db;
-  const SubjectiveQuery& query = *ctx->query;
-  obs::TraceSpan span("ta_topk");
-  std::vector<std::string> predicates;
-  predicates.reserve(ctx->logical->conjuncts.size());
-  for (const size_t c : ctx->logical->conjuncts) {
-    const std::string& predicate = query.conditions[c].subjective;
-    // Same per-condition cache accounting as the dense scan.
-    if (ctx->cache->Contains(predicate)) {
-      ++ctx->output->stats.cache_hits;
-    } else {
-      ++ctx->output->stats.cache_misses;
-    }
-    predicates.push_back(predicate);
-  }
-  span.AddAttribute("lists", static_cast<uint64_t>(predicates.size()));
-  span.AddAttribute("k", static_cast<uint64_t>(query.limit));
-  fuzzy::TaStats ta_stats;
-  const auto top = ctx->cache->TopKConjunction(predicates, query.limit,
-                                               &ta_stats, ctx->deadline);
-  // TA aggregates every list, so entities it never materialized scored
-  // below the threshold; this is the work actually done.
-  ctx->output->stats.entities_scored = ta_stats.entities_seen;
-  if (ta_stats.deadline_expired ||
-      (ctx->deadline != nullptr && ctx->deadline->Expired())) {
-    // Every returned score is exact (TA materializes full aggregates),
-    // but the scan frontier never reached the proof of completeness.
-    ctx->partial = true;
-    span.AddAttribute("partial", true);
-  }
-  span.AddAttribute("entities_seen",
-                    static_cast<uint64_t>(ta_stats.entities_seen));
-  std::vector<RankedResult> ranked;
-  ranked.reserve(top.size());
-  for (const auto& entry : top) {
-    // Positives sort strictly before zeros, so dropping zeros from the
-    // TA top-k leaves exactly the dense scan's positive prefix.
-    if (entry.score <= 0.0) continue;
-    RankedResult result;
-    result.entity = static_cast<text::EntityId>(entry.entity);
-    result.entity_name = db.corpus().entity_name(result.entity);
-    result.score = entry.score;
-    ranked.push_back(std::move(result));
-  }
-  span.AddAttribute("results", static_cast<uint64_t>(ranked.size()));
-  ctx->output->results = std::move(ranked);
-  return Status::OK();
-}
-
 }  // namespace opinedb::core

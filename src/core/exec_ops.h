@@ -21,7 +21,6 @@ class DegreeCache;
 ///   ObjectiveFilterOp : entities            -> candidates
 ///   SubjectiveScoreOp : candidates          -> degrees (per condition)
 ///   RankOp            : degrees, candidates -> output->results
-///   TaTopKOp          : cached lists        -> output->results
 struct ExecContext {
   const OpineDb* db = nullptr;
   const SubjectiveQuery* query = nullptr;
@@ -108,18 +107,6 @@ class SubjectiveScoreOp : public ExecOp {
 class RankOp : public ExecOp {
  public:
   const char* name() const override { return "combine_rank"; }
-  Status Run(ExecContext* ctx) const override;
-};
-
-/// Routes fully-conjunctive all-subjective queries through Fagin's
-/// Threshold Algorithm over the cached degree lists, skipping the dense
-/// combine entirely. The TA aggregate folds lists in conjunct order,
-/// matching fuzzy::Expr::Evaluate over an AND of leaves, and zero
-/// scores are filtered from its output — bit-identical to the dense
-/// path.
-class TaTopKOp : public ExecOp {
- public:
-  const char* name() const override { return "ta_topk"; }
   Status Run(ExecContext* ctx) const override;
 };
 

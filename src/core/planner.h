@@ -22,9 +22,6 @@ enum class PlanKind {
   /// Hard objective predicates evaluated first into a candidate set;
   /// subjective scoring and the WHERE combine restricted to survivors.
   kFilteredScan,
-  /// Fully-conjunctive all-subjective queries answered by Fagin's
-  /// Threshold Algorithm over cached degree lists.
-  kTaTopK,
 };
 
 /// Operator-level override for plan selection (EngineOptions::force_plan).
@@ -35,7 +32,6 @@ enum class PlanForce {
   kAuto,
   kDenseScan,
   kFilteredScan,
-  kTaTopK,
 };
 
 /// The normalized logical view of a parsed query: conditions classified,
@@ -49,19 +45,13 @@ struct LogicalPlan {
   /// exactly 0.0 under both fuzzy variants (0 is absorbing for ⊗), so
   /// they may be evaluated first as hard filters.
   std::vector<size_t> hard_objective;
-  /// True when the WHERE tree is a single AND over plain leaves (or one
-  /// leaf): the shape whose combine folds exactly like the Threshold
-  /// Algorithm's aggregate.
-  bool conjunctive_leaves_only = false;
-  /// The conjunct leaf indices in fold order (valid when
-  /// conjunctive_leaves_only).
-  std::vector<size_t> conjuncts;
 };
 
 /// What SelectPlan needs to know about the execution environment.
 struct PlannerContext {
   size_t num_entities = 0;
-  /// The attached degree cache, or nullptr (TA requires one).
+  /// The attached degree cache, or nullptr (EXPLAIN marks which
+  /// subjective conditions it already holds).
   const DegreeCache* cache = nullptr;
   PlanForce force = PlanForce::kAuto;
   fuzzy::Variant variant = fuzzy::Variant::kProduct;
@@ -72,10 +62,6 @@ struct PlannerContext {
 struct PhysicalPlan {
   PlanKind kind = PlanKind::kDenseScan;
   bool filtered_eligible = false;
-  bool ta_eligible = false;
-  /// Conjuncts whose degree lists are already resident in the cache
-  /// (== conjuncts.size() is the auto-TA condition).
-  size_t cached_conjuncts = 0;
   /// True when a forced shape was ineligible and the automatic choice
   /// was used instead.
   bool forced_fallback = false;
@@ -84,13 +70,9 @@ struct PhysicalPlan {
 /// Lowers the parsed query into its normalized logical view.
 LogicalPlan AnalyzeQuery(const SubjectiveQuery& query);
 
-/// Chooses the physical plan. Eligibility:
-///  - kFilteredScan: at least one hard objective predicate.
-///  - kTaTopK: conjunctive-leaves-only WHERE, every leaf subjective,
-///    a degree cache attached, limit > 0.
-/// Automatic choice: TA when eligible, >= 2 conjuncts, every conjunct
-/// already cached and limit < num_entities (otherwise TA degrades to a
-/// full scan); else filtered when eligible; else dense.
+/// Chooses the physical plan. kFilteredScan is eligible when the query
+/// has at least one hard objective predicate, and the automatic choice
+/// takes it whenever it is eligible; otherwise the plan is kDenseScan.
 PhysicalPlan SelectPlan(const SubjectiveQuery& query,
                         const LogicalPlan& logical,
                         const PlannerContext& context);

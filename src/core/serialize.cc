@@ -4,6 +4,8 @@
 #include <string>
 #include <unordered_set>
 
+#include "common/bytes.h"
+
 namespace opinedb::core {
 
 namespace {
@@ -25,29 +27,6 @@ constexpr size_t kMaxStringLength = 1u << 20;     // 1 MiB per string.
 constexpr size_t kMaxCentroidDim = 1u << 16;      // 65536 dims.
 constexpr size_t kMaxProvenance = 1u << 26;       // 67M review ids.
 constexpr size_t kMaxEntities = 1u << 26;         // 67M entities.
-
-/// Netstring-style string encoding: "<length>:<bytes>" — robust to
-/// spaces inside markers and phrases.
-void WriteString(const std::string& s, std::ostream* out) {
-  *out << s.size() << ':' << s;
-}
-
-Result<std::string> ReadString(std::istream* in) {
-  size_t length = 0;
-  char colon = 0;
-  if (!(*in >> length) || !in->get(colon) || colon != ':') {
-    return Status::ParseError("bad string header");
-  }
-  if (length > kMaxStringLength) {
-    return Status::ParseError("implausible string length " +
-                              std::to_string(length));
-  }
-  std::string s(length, '\0');
-  if (!in->read(s.data(), static_cast<std::streamsize>(length))) {
-    return Status::ParseError("truncated string");
-  }
-  return s;
-}
 
 }  // namespace
 
@@ -99,11 +78,11 @@ Result<SubjectiveSchema> LoadSchema(std::istream* in) {
                                 std::to_string(version));
   }
   SubjectiveSchema schema;
-  auto table = ReadString(in);
+  auto table = ReadString(in, kMaxStringLength);
   if (!table.ok()) return table.status();
   schema.objective_table = *table;
   in->get();  // Separator.
-  auto key = ReadString(in);
+  auto key = ReadString(in, kMaxStringLength);
   if (!key.ok()) return key.status();
   schema.key_column = *key;
   size_t num_attributes = 0;
@@ -113,7 +92,7 @@ Result<SubjectiveSchema> LoadSchema(std::istream* in) {
   std::unordered_set<std::string> seen_names;
   for (size_t a = 0; a < num_attributes; ++a) {
     SubjectiveAttribute attribute;
-    auto name = ReadString(in);
+    auto name = ReadString(in, kMaxStringLength);
     if (!name.ok()) return name.status();
     // Attribute names are the schema's keys (AttributeIndex resolves by
     // name); a duplicate would make every later lookup silently bind to
@@ -135,7 +114,7 @@ Result<SubjectiveSchema> LoadSchema(std::istream* in) {
     auto read_many = [in](size_t n,
                           std::vector<std::string>* out) -> Status {
       for (size_t i = 0; i < n; ++i) {
-        auto s = ReadString(in);
+        auto s = ReadString(in, kMaxStringLength);
         if (!s.ok()) return s.status();
         out->push_back(*s);
       }

@@ -2,8 +2,10 @@
 #define OPINEDB_REPL_PROTOCOL_H_
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
+#include "common/bytes.h"
 #include "storage/checksum.h"
 
 namespace opinedb::repl {
@@ -63,12 +65,9 @@ inline constexpr char kHeaderSegmentComplete[] = "x-repl-segment-complete";
 /// little-endian bytes, so chains from different segments never
 /// accidentally collide at offset 0.
 inline uint32_t SeedFingerprint(uint64_t base_generation) {
-  unsigned char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] =
-        static_cast<unsigned char>((base_generation >> (8 * i)) & 0xff);
-  }
-  return storage::Crc32c(bytes, sizeof(bytes));
+  std::string bytes;
+  AppendU64(base_generation, &bytes);
+  return storage::Crc32c(bytes);
 }
 
 /// Extends a fingerprint over one record payload. Both sides chain in

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/fault.h"
 #include "obs/metrics.h"
 #include "storage/checksum.h"
@@ -27,35 +28,6 @@ constexpr size_t kRecordHeader = kWalRecordHeaderSize;
 /// Plausibility cap on untrusted record lengths, checked before
 /// allocation on top of the remaining-bytes bound.
 constexpr uint32_t kMaxRecordLen = 1u << 30;
-
-void AppendU32(uint32_t v, std::string* out) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-  out->push_back(static_cast<char>((v >> 16) & 0xff));
-  out->push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-void AppendU64(uint64_t v, std::string* out) {
-  AppendU32(static_cast<uint32_t>(v & 0xffffffffu), out);
-  AppendU32(static_cast<uint32_t>(v >> 32), out);
-}
-
-bool ReadU32(std::string_view bytes, size_t* pos, uint32_t* out) {
-  if (bytes.size() - *pos < 4) return false;
-  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data() + *pos);
-  *out = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-  *pos += 4;
-  return true;
-}
-
-bool ReadU64(std::string_view bytes, size_t* pos, uint64_t* out) {
-  uint32_t lo = 0, hi = 0;
-  if (!ReadU32(bytes, pos, &lo) || !ReadU32(bytes, pos, &hi)) return false;
-  *out = static_cast<uint64_t>(lo) | (static_cast<uint64_t>(hi) << 32);
-  return true;
-}
 
 std::string EncodeHeader(uint64_t base_generation) {
   std::string out;

@@ -27,6 +27,7 @@
 #include "core/query.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace opinedb {
@@ -436,6 +437,25 @@ TEST_F(CacheEngineTest, DegradedResultsAreNeverCached) {
       << "a degraded result was cached";
   EXPECT_EQ(db().interpretation_cache()->size(), 0u)
       << "a degraded interpretation was cached";
+}
+
+TEST_F(CacheEngineTest, PredicateDegreeOfTruthCountsInterpretationHits) {
+  // The single-predicate entry point consults the same interpretation
+  // cache as the query path, so its traffic must reach the same hit and
+  // miss counters (or the reported hit rate under-counts).
+  db().SetTraceLevel(obs::TraceLevel::kStats);
+  auto& registry = obs::MetricsRegistry::Global();
+  const auto* hits = registry.GetCounter("engine.cache.interp_hit");
+  const auto* misses = registry.GetCounter("engine.cache.interp_miss");
+  const uint64_t hits_before = hits->Value();
+  const uint64_t misses_before = misses->Value();
+  const std::string& predicate = artifacts_->pool[0].text;
+  const double first = db().PredicateDegreeOfTruth(predicate, 0);
+  const double second = db().PredicateDegreeOfTruth(predicate, 0);
+  db().SetTraceLevel(obs::TraceLevel::kOff);
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(misses->Value() - misses_before, 1u);
+  EXPECT_EQ(hits->Value() - hits_before, 1u);
 }
 
 TEST_F(CacheEngineTest, EpochBumpInvalidatesWholesale) {

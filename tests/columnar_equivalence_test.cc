@@ -198,7 +198,7 @@ TEST_P(ColumnarEquivalenceTest, ColumnarBitIdenticalToRow) {
 }
 
 // The degree-cache list materialization also goes through the columnar
-// scorer; TA plans over a warm cache must stay bit-identical too.
+// scorer; queries over a warm cache must stay bit-identical too.
 TEST_P(ColumnarEquivalenceTest, WarmDegreeCacheBitIdentical) {
   core::OpineDb& db = *Fixture(GetParam()).db;
   core::DegreeCache cache(&db);

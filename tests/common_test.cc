@@ -1,11 +1,13 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -194,6 +196,108 @@ TEST(StringUtilTest, PrefixSuffixContains) {
   EXPECT_FALSE(EndsWith("ms", "rooms"));
   EXPECT_TRUE(Contains("really clean rooms", "clean"));
   EXPECT_FALSE(Contains("clean", "dirty"));
+}
+
+// ------------------------------------------------------------ Bytes.
+
+TEST(BytesTest, IntegersAreLittleEndianAndRoundTrip) {
+  std::string out;
+  AppendU32(0x04030201u, &out);
+  AppendU64(0x0c0b0a0908070605ull, &out);
+  EXPECT_EQ(out, std::string("\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a"
+                             "\x0b\x0c",
+                             12));
+  for (const uint64_t v : {uint64_t{0}, uint64_t{1}, uint64_t{0xffffffffu},
+                           uint64_t{0x8000000000000000ull},
+                           ~uint64_t{0}}) {
+    std::string bytes;
+    AppendU32(static_cast<uint32_t>(v), &bytes);
+    AppendU64(v, &bytes);
+    size_t pos = 0;
+    uint32_t narrow = 0;
+    uint64_t wide = 0;
+    ASSERT_TRUE(ReadU32(bytes, &pos, &narrow));
+    ASSERT_TRUE(ReadU64(bytes, &pos, &wide));
+    EXPECT_EQ(narrow, static_cast<uint32_t>(v));
+    EXPECT_EQ(wide, v);
+    EXPECT_EQ(pos, bytes.size());
+  }
+}
+
+TEST(BytesTest, ReadsMayEndExactlyAtTheBufferEnd) {
+  std::string bytes = "xx";
+  AppendU32(7, &bytes);
+  size_t pos = 2;
+  uint32_t v = 0;
+  ASSERT_TRUE(ReadU32(bytes, &pos, &v));
+  EXPECT_EQ(v, 7u);
+  EXPECT_EQ(pos, bytes.size());
+  // Nothing left: the next read fails.
+  EXPECT_FALSE(ReadU32(bytes, &pos, &v));
+
+  std::string wide;
+  AppendU64(9, &wide);
+  pos = 0;
+  uint64_t w = 0;
+  ASSERT_TRUE(ReadU64(wide, &pos, &w));
+  EXPECT_EQ(w, 9u);
+  EXPECT_EQ(pos, wide.size());
+}
+
+TEST(BytesTest, ShortReadsFailWithoutAdvancing) {
+  std::string bytes;
+  AppendU64(0x0102030405060708ull, &bytes);
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    const std::string_view prefix(bytes.data(), cut);
+    size_t pos = 0;
+    uint64_t wide = 42;
+    // Six bytes hold a whole u32 but not a u64: the u64 read must not
+    // consume the first half.
+    EXPECT_FALSE(ReadU64(prefix, &pos, &wide)) << cut;
+    EXPECT_EQ(pos, 0u);
+    EXPECT_EQ(wide, 42u);
+    if (cut < 4) {
+      uint32_t narrow = 42;
+      EXPECT_FALSE(ReadU32(prefix, &pos, &narrow)) << cut;
+      EXPECT_EQ(pos, 0u);
+      EXPECT_EQ(narrow, 42u);
+    }
+  }
+  // A cursor already past the end is a short read, not an underflow.
+  size_t pos = bytes.size() + 3;
+  uint32_t narrow = 0;
+  EXPECT_FALSE(ReadU32(bytes, &pos, &narrow));
+  EXPECT_EQ(pos, bytes.size() + 3);
+}
+
+TEST(BytesTest, NetstringsRoundTripAndRejectOverLongLengths) {
+  std::ostringstream out;
+  WriteString("clean room", &out);
+  WriteString("", &out);
+  WriteString(std::string("a:b\n\0c", 6), &out);
+  EXPECT_EQ(out.str(), std::string("10:clean room0:6:a:b\n\0c", 23));
+
+  std::istringstream in(out.str());
+  auto first = ReadString(&in, 16);
+  auto empty = ReadString(&in, 16);
+  auto binary = ReadString(&in, 16);
+  ASSERT_TRUE(first.ok() && empty.ok() && binary.ok());
+  EXPECT_EQ(*first, "clean room");
+  EXPECT_EQ(*empty, "");
+  EXPECT_EQ(*binary, std::string("a:b\n\0c", 6));
+
+  // The ceiling is inclusive; one byte over is a ParseError.
+  std::istringstream at_limit("4:abcd");
+  EXPECT_TRUE(ReadString(&at_limit, 4).ok());
+  std::istringstream over("5:abcde");
+  auto rejected = ReadString(&over, 4);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kParseError);
+
+  std::istringstream truncated("9:abc");
+  EXPECT_FALSE(ReadString(&truncated, 16).ok());
+  std::istringstream no_colon("3abc");
+  EXPECT_FALSE(ReadString(&no_colon, 16).ok());
 }
 
 }  // namespace

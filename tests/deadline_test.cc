@@ -169,7 +169,7 @@ TEST_F(DeadlineTest, HugeBudgetBitIdenticalToUnbounded) {
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     for (const auto force :
          {core::PlanForce::kAuto, core::PlanForce::kDenseScan,
-          core::PlanForce::kFilteredScan, core::PlanForce::kTaTopK}) {
+          core::PlanForce::kFilteredScan}) {
       for (const size_t threads : {1, 8}) {
         for (const auto level :
              {obs::TraceLevel::kOff, obs::TraceLevel::kFull}) {

@@ -1,7 +1,7 @@
-// Unit coverage for DegreeCache's Threshold-Algorithm path: property-style
-// agreement between TopKConjunction and TopKConjunctionFullScan on
-// randomized predicate subsets (seeded RNG), plus TaStats access-count
-// sanity and cache hit/miss accounting.
+// Unit coverage for DegreeCache: property-style agreement between
+// conjunctive top-k queries served through an attached warm cache and
+// the same queries with no cache, on randomized predicate subsets
+// (seeded RNG), plus hit/miss accounting and reference stability.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -37,7 +37,7 @@ class DegreeCacheTest : public ::testing::Test {
     artifacts_ = nullptr;
   }
 
-  const core::OpineDb& db() const { return *artifacts_->db; }
+  core::OpineDb& db() const { return *artifacts_->db; }
 
   /// The predicate universe: every marker plus a slice of the generated
   /// query-predicate pool (free-text predicates exercise the fallback
@@ -64,6 +64,8 @@ class DegreeCacheTest : public ::testing::Test {
 
 eval::DomainArtifacts* DegreeCacheTest::artifacts_ = nullptr;
 
+// An attached warm cache only changes where the degree lists come from:
+// every conjunctive top-k stays bit-identical to the uncached scan.
 TEST_F(DegreeCacheTest, TopKAgreesWithFullScanOnRandomizedPredicates) {
   core::DegreeCache cache(&db());
   const auto universe = PredicateUniverse();
@@ -72,63 +74,41 @@ TEST_F(DegreeCacheTest, TopKAgreesWithFullScanOnRandomizedPredicates) {
   constexpr int kTrials = 40;
   for (int trial = 0; trial < kTrials; ++trial) {
     const size_t width = 1 + rng.Below(4);  // 1..4 predicates.
-    std::vector<std::string> predicates;
+    std::string where;
     for (size_t index : rng.SampleIndices(universe.size(), width)) {
-      predicates.push_back(universe[index]);
+      if (!where.empty()) where += " and ";
+      where += "\"" + universe[index] + "\"";
     }
     const size_t k = 1 + rng.Below(db().corpus().num_entities());
-    auto ta = cache.TopKConjunction(predicates, k);
-    auto scan = cache.TopKConjunctionFullScan(predicates, k);
-    ASSERT_EQ(ta.size(), scan.size()) << "trial " << trial;
-    for (size_t i = 0; i < ta.size(); ++i) {
-      EXPECT_EQ(ta[i].entity, scan[i].entity)
-          << "trial " << trial << " rank " << i;
-      EXPECT_EQ(ta[i].score, scan[i].score)
-          << "trial " << trial << " rank " << i;
+    const std::string sql = "select * from hotels where " + where +
+                            " limit " + std::to_string(k);
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": " + sql);
+    auto uncached = db().Execute(sql);
+    ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+    db().AttachDegreeCache(&cache);
+    auto fill = db().Execute(sql);  // Makes every list resident.
+    auto warm = db().Execute(sql);
+    db().AttachDegreeCache(nullptr);
+    ASSERT_TRUE(fill.ok()) << fill.status().ToString();
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_EQ(warm->stats.cache_hits, width);
+    EXPECT_EQ(warm->stats.cache_misses, 0u);
+    ASSERT_EQ(uncached->results.size(), warm->results.size());
+    for (size_t i = 0; i < warm->results.size(); ++i) {
+      EXPECT_EQ(uncached->results[i].entity, warm->results[i].entity)
+          << "rank " << i;
+      EXPECT_EQ(uncached->results[i].score, warm->results[i].score)
+          << "rank " << i;
     }
     // Scores are sorted best-first with ids breaking ties.
-    for (size_t i = 1; i < ta.size(); ++i) {
-      EXPECT_GE(ta[i - 1].score, ta[i].score);
-      if (ta[i - 1].score == ta[i].score) {
-        EXPECT_LT(ta[i - 1].entity, ta[i].entity);
+    for (size_t i = 1; i < warm->results.size(); ++i) {
+      const auto& prev = warm->results[i - 1];
+      const auto& next = warm->results[i];
+      EXPECT_GE(prev.score, next.score);
+      if (prev.score == next.score) {
+        EXPECT_LT(prev.entity, next.entity);
       }
     }
-  }
-}
-
-TEST_F(DegreeCacheTest, TaStatsAccessCountsAreSane) {
-  core::DegreeCache cache(&db());
-  const auto universe = PredicateUniverse();
-  ASSERT_GE(universe.size(), 3u);
-  const std::vector<std::string> predicates = {universe[0], universe[1],
-                                               universe[2]};
-  const size_t n = db().corpus().num_entities();
-  const size_t k = 5;
-
-  fuzzy::TaStats stats;
-  auto top = cache.TopKConjunction(predicates, k, &stats);
-  EXPECT_LE(top.size(), k);
-  EXPECT_GT(stats.rounds, 0u);
-  EXPECT_GT(stats.sorted_accesses, 0u);
-  // One round pops at most one entry per list; sorted accesses can never
-  // exceed the total volume of the lists.
-  EXPECT_LE(stats.rounds, n);
-  EXPECT_LE(stats.sorted_accesses, predicates.size() * n);
-  // Each sorted access triggers at most (lists - 1) random accesses to
-  // complete the aggregate for the popped entity.
-  EXPECT_LE(stats.random_accesses,
-            stats.sorted_accesses * (predicates.size() - 1));
-
-  // A second run over the same cached lists is deterministic.
-  fuzzy::TaStats again;
-  auto top2 = cache.TopKConjunction(predicates, k, &again);
-  EXPECT_EQ(again.rounds, stats.rounds);
-  EXPECT_EQ(again.sorted_accesses, stats.sorted_accesses);
-  EXPECT_EQ(again.random_accesses, stats.random_accesses);
-  ASSERT_EQ(top.size(), top2.size());
-  for (size_t i = 0; i < top.size(); ++i) {
-    EXPECT_EQ(top[i].entity, top2[i].entity);
-    EXPECT_EQ(top[i].score, top2[i].score);
   }
 }
 

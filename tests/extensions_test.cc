@@ -1,7 +1,8 @@
-// Tests for the extension features: the degree-of-truth cache with
-// Threshold-Algorithm top-k, user-profile personalization, unexpectedness
-// mining, and serialization round-trips.
+// Tests for the extension features: the degree-of-truth cache,
+// user-profile personalization, unexpectedness mining, and
+// serialization round-trips.
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -36,7 +37,7 @@ class ExtensionsTest : public ::testing::Test {
     artifacts_ = nullptr;
   }
 
-  const core::OpineDb& db() const { return *artifacts_->db; }
+  core::OpineDb& db() const { return *artifacts_->db; }
 
   static eval::DomainArtifacts* artifacts_;
 };
@@ -82,26 +83,68 @@ TEST_F(ExtensionsTest, PrecomputeMarkersMaterializesEveryMarker) {
   EXPECT_EQ(cache.size(), materialized);
 }
 
+namespace {
+
+struct WarmRun {
+  core::QueryResult uncached;
+  core::QueryResult fill;
+  core::QueryResult warm;
+};
+
+// Runs `sql` without a degree cache, then twice with `cache` attached
+// (the first run fills it, the second is served warm).
+WarmRun RunUncachedThenWarm(core::OpineDb& db, core::DegreeCache* cache,
+                            const std::string& sql) {
+  WarmRun run;
+  auto uncached = db.Execute(sql);
+  EXPECT_TRUE(uncached.ok()) << uncached.status().ToString();
+  db.AttachDegreeCache(cache);
+  auto fill = db.Execute(sql);
+  auto warm = db.Execute(sql);
+  db.AttachDegreeCache(nullptr);
+  EXPECT_TRUE(fill.ok()) << fill.status().ToString();
+  EXPECT_TRUE(warm.ok()) << warm.status().ToString();
+  if (uncached.ok()) run.uncached = *std::move(uncached);
+  if (fill.ok()) run.fill = *std::move(fill);
+  if (warm.ok()) run.warm = *std::move(warm);
+  return run;
+}
+
+void ExpectSameRanking(const core::QueryResult& want,
+                       const core::QueryResult& got) {
+  ASSERT_EQ(want.results.size(), got.results.size());
+  for (size_t i = 0; i < got.results.size(); ++i) {
+    EXPECT_EQ(want.results[i].entity, got.results[i].entity);
+    EXPECT_EQ(want.results[i].score, got.results[i].score);
+  }
+}
+
+}  // namespace
+
+// The names of the next two tests predate the removal of the Threshold
+// Algorithm plan; warm-cache top-k now runs as a dense scan over the
+// cached degree lists and must rank exactly like the uncached scan.
 TEST_F(ExtensionsTest, ThresholdAlgorithmTopKMatchesFullScan) {
   core::DegreeCache cache(&db());
-  const std::vector<std::string> predicates = {"clean room",
-                                               "friendly staff",
-                                               "quiet street"};
-  auto ta = cache.TopKConjunction(predicates, 5);
-  auto scan = cache.TopKConjunctionFullScan(predicates, 5);
-  ASSERT_EQ(ta.size(), scan.size());
-  for (size_t i = 0; i < ta.size(); ++i) {
-    EXPECT_EQ(ta[i].entity, scan[i].entity);
-    EXPECT_NEAR(ta[i].score, scan[i].score, 1e-12);
-  }
+  const WarmRun run = RunUncachedThenWarm(
+      db(), &cache,
+      "select * from hotels where \"clean room\" and \"friendly staff\" "
+      "and \"quiet street\" limit 5");
+  EXPECT_EQ(run.warm.stats.cache_misses, 0u);
+  EXPECT_EQ(run.warm.results.size(), 5u);
+  ExpectSameRanking(run.uncached, run.warm);
 }
 
 TEST_F(ExtensionsTest, ThresholdAlgorithmReportsStats) {
   core::DegreeCache cache(&db());
-  fuzzy::TaStats stats;
-  cache.TopKConjunction({"clean room", "comfortable bed"}, 3, &stats);
-  EXPECT_GT(stats.sorted_accesses, 0u);
-  EXPECT_GT(stats.rounds, 0u);
+  const WarmRun run = RunUncachedThenWarm(
+      db(), &cache,
+      "select * from hotels where \"clean room\" and \"comfortable bed\" "
+      "limit 3");
+  EXPECT_GT(run.fill.stats.cache_misses, 0u);
+  EXPECT_GT(run.warm.stats.cache_hits, 0u);
+  EXPECT_EQ(run.warm.stats.cache_misses, 0u);
+  ExpectSameRanking(run.uncached, run.warm);
 }
 
 // ------------------------------------------------------- Personalizing.

@@ -1,8 +1,8 @@
 // Deterministic fault-injection sweep over the serving path.
 //
 // Every named site in fault::kSites is armed against every plan shape
-// (dense scan, text-fallback scan, filtered scan, cold cached scan,
-// warm TA top-k, result/interpretation-cached serving). The contract
+// (dense scan, text-fallback scan, filtered scan, cold and warm cached
+// scans, result/interpretation-cached serving). The contract
 // under test:
 //
 //  - no injected fault ever crashes, hangs, or leaks a query — every
@@ -171,20 +171,18 @@ std::vector<Shape> MakeShapes(core::OpineDb& db,
                       db.AttachDegreeCache(nullptr);
                       return run;
                     }});
-  shapes.push_back({"ta_warm", [&db, arm, conj_sql](
-                                   const std::string& site) {
+  shapes.push_back({"dense_warm", [&db, arm, conj_sql](
+                                      const std::string& site) {
+                      // The measured run reads both lists off the
+                      // resident-list path of the degree cache.
                       core::DegreeCache cache(&db);
                       db.AttachDegreeCache(&cache);
                       db.mutable_options()->force_plan =
                           core::PlanForce::kAuto;
                       auto warm = db.Execute(conj_sql);  // Fills both lists.
                       EXPECT_TRUE(warm.ok()) << warm.status().ToString();
-                      db.mutable_options()->force_plan =
-                          core::PlanForce::kTaTopK;
                       arm(site);
                       auto run = db.Execute(conj_sql);
-                      db.mutable_options()->force_plan =
-                          core::PlanForce::kAuto;
                       db.AttachDegreeCache(nullptr);
                       return run;
                     }});

@@ -1,6 +1,5 @@
 // Unit tests for the logical planner: condition classification, hard
-// objective-predicate extraction, conjunctive-shape detection, physical
-// plan selection rules and the EXPLAIN renderer. These run on parsed
+// objective-predicate extraction, physical plan selection rules and the EXPLAIN renderer. These run on parsed
 // queries alone — no engine build — so they pin the planner's behavior
 // cheaply. End-to-end plan equivalence lives in
 // plan_equivalence_test.cc.
@@ -49,8 +48,6 @@ TEST(AnalyzeQueryTest, HardObjectiveThroughNestedAnds) {
       "(\"clean room\" and city = 'london')");
   const auto logical = AnalyzeQuery(query);
   EXPECT_EQ(logical.hard_objective, (std::vector<size_t>{0, 2}));
-  // The nested AND is not a plain leaf, so the TA shape is off.
-  EXPECT_FALSE(logical.conjunctive_leaves_only);
 }
 
 TEST(AnalyzeQueryTest, OrBlocksHardExtraction) {
@@ -70,27 +67,6 @@ TEST(AnalyzeQueryTest, NotBlocksHardExtraction) {
   EXPECT_TRUE(logical.hard_objective.empty());
 }
 
-TEST(AnalyzeQueryTest, ConjunctiveLeavesOnlyShapes) {
-  const auto conj = AnalyzeQuery(Parse(
-      "select * from hotels where \"a\" and \"b\" and \"c\" limit 5"));
-  EXPECT_TRUE(conj.conjunctive_leaves_only);
-  EXPECT_EQ(conj.conjuncts, (std::vector<size_t>{0, 1, 2}));
-
-  const auto single =
-      AnalyzeQuery(Parse("select * from hotels where \"a\""));
-  EXPECT_TRUE(single.conjunctive_leaves_only);
-  EXPECT_EQ(single.conjuncts, (std::vector<size_t>{0}));
-
-  const auto nested = AnalyzeQuery(
-      Parse("select * from hotels where \"a\" and (\"b\" or \"c\")"));
-  EXPECT_FALSE(nested.conjunctive_leaves_only);
-  EXPECT_TRUE(nested.conjuncts.empty());
-
-  const auto no_where = AnalyzeQuery(Parse("select * from hotels limit 5"));
-  EXPECT_FALSE(no_where.conjunctive_leaves_only);
-  EXPECT_TRUE(no_where.hard_objective.empty());
-}
-
 // -------------------------------------------------------- SelectPlan.
 
 TEST(SelectPlanTest, DenseWhenNothingToPushDown) {
@@ -100,7 +76,6 @@ TEST(SelectPlanTest, DenseWhenNothingToPushDown) {
   const auto physical = SelectPlan(query, logical, Context());
   EXPECT_EQ(physical.kind, PlanKind::kDenseScan);
   EXPECT_FALSE(physical.filtered_eligible);
-  EXPECT_FALSE(physical.ta_eligible);
 }
 
 TEST(SelectPlanTest, FilteredWhenHardObjectivePresent) {
@@ -112,15 +87,14 @@ TEST(SelectPlanTest, FilteredWhenHardObjectivePresent) {
   EXPECT_TRUE(physical.filtered_eligible);
 }
 
-TEST(SelectPlanTest, TaRequiresACache) {
-  // Conjunctive all-subjective shape, but no cache attached: TA is
-  // ineligible and the choice stays dense.
+TEST(SelectPlanTest, ConjunctiveSubjectiveQueryPlansDense) {
+  // An all-subjective conjunction has nothing to push down: dense.
   const auto query =
       Parse("select * from hotels where \"a\" and \"b\" limit 5");
   const auto logical = AnalyzeQuery(query);
   const auto physical = SelectPlan(query, logical, Context());
-  EXPECT_FALSE(physical.ta_eligible);
   EXPECT_EQ(physical.kind, PlanKind::kDenseScan);
+  EXPECT_FALSE(physical.forced_fallback);
 }
 
 TEST(SelectPlanTest, ForceDenseAlwaysWins) {
@@ -134,16 +108,6 @@ TEST(SelectPlanTest, ForceDenseAlwaysWins) {
 }
 
 TEST(SelectPlanTest, IneligibleForcedPlanFallsBack) {
-  const auto query = Parse(
-      "select * from hotels where price_pn < 100 and \"a\" limit 5");
-  const auto logical = AnalyzeQuery(query);
-  // TA forced but ineligible (objective leaf, no cache): fall back to
-  // the automatic choice, which is the filtered scan.
-  const auto physical =
-      SelectPlan(query, logical, Context(100, PlanForce::kTaTopK));
-  EXPECT_EQ(physical.kind, PlanKind::kFilteredScan);
-  EXPECT_TRUE(physical.forced_fallback);
-
   // Filtered forced on a query without hard predicates: dense.
   const auto soft = Parse("select * from hotels where \"a\" or \"b\"");
   const auto soft_logical = AnalyzeQuery(soft);
@@ -196,7 +160,6 @@ TEST(ExplainPlanTest, ParserSetsExplainFlag) {
 TEST(PlanKindNameTest, StableNames) {
   EXPECT_STREQ(PlanKindName(PlanKind::kDenseScan), "dense_scan");
   EXPECT_STREQ(PlanKindName(PlanKind::kFilteredScan), "filtered_scan");
-  EXPECT_STREQ(PlanKindName(PlanKind::kTaTopK), "ta_topk");
 }
 
 }  // namespace

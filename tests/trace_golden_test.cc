@@ -260,7 +260,7 @@ TEST_F(TraceGoldenTest, FilteredScanEmitsObjectiveFilterSpan) {
   EXPECT_LT(result->stats.entities_scored, db->corpus().num_entities());
 }
 
-TEST_F(TraceGoldenTest, TaPlanEmitsTaTopKSpan) {
+TEST_F(TraceGoldenTest, WarmConjunctivePlanEmitsScoreSpans) {
   core::OpineDb* db = restaurant_->db.get();
   core::DegreeCache cache(db);
   db->AttachDegreeCache(&cache);
@@ -275,21 +275,22 @@ TEST_F(TraceGoldenTest, TaPlanEmitsTaTopKSpan) {
   ASSERT_NE(warm->trace, nullptr);
   const auto spans = warm->trace->Snapshot();
   const auto& root = spans.back();
-  EXPECT_EQ(root.Attribute("plan"), "ta_topk");
-  const obs::SpanRecord* ta = nullptr;
-  const obs::SpanRecord* inner = nullptr;
+  EXPECT_EQ(root.Attribute("plan"), "dense_scan");
+  const obs::SpanRecord* score = nullptr;
+  std::vector<const obs::SpanRecord*> conditions;
   for (const auto& span : spans) {
-    if (span.name == "ta_topk") ta = &span;
-    if (span.name == "fuzzy.ta") inner = &span;
+    if (span.name == "score") score = &span;
+    if (span.name == "score.condition") conditions.push_back(&span);
   }
-  ASSERT_NE(ta, nullptr);
-  EXPECT_EQ(ta->parent_id, root.id);
-  EXPECT_EQ(ta->Attribute("lists"), "2");
-  EXPECT_EQ(ta->Attribute("k"), "5");
-  // The TA core span nests under the operator and reports its work.
-  ASSERT_NE(inner, nullptr);
-  EXPECT_EQ(inner->parent_id, ta->id);
-  EXPECT_FALSE(inner->Attribute("sorted_accesses").empty());
+  // Both conjuncts are served from the resident lists under the score
+  // operator.
+  ASSERT_NE(score, nullptr);
+  EXPECT_EQ(score->parent_id, root.id);
+  ASSERT_EQ(conditions.size(), 2u);
+  for (const obs::SpanRecord* condition : conditions) {
+    EXPECT_EQ(condition->parent_id, score->id);
+    EXPECT_EQ(condition->Attribute("source"), "cache_hit");
+  }
   db->AttachDegreeCache(nullptr);
 }
 
