@@ -1,10 +1,9 @@
 // Scale benchmark (docs/SCALING.md): builds a synthesized large fixture
 // (datagen::BuildScaledFixture — full-size summaries and objective rows,
 // models trained on a small vocab sub-corpus) and measures subjective
-// scoring throughput with the columnar data plane on and off, single
-// threaded and at hardware concurrency. Writes BENCH_scale.json with
-// dense-scoring entities/sec, achieved scan GB/s and the columnar/row
-// speedup. Entity count: OPINEDB_SCALE_ENTITIES (default 100000);
+// scoring throughput, single threaded and at hardware concurrency.
+// Writes BENCH_scale.json with dense-scoring entities/sec and achieved
+// scan GB/s. Entity count: OPINEDB_SCALE_ENTITIES (default 100000);
 // repeats: OPINEDB_REPEATS (default 3).
 
 #include <algorithm>
@@ -23,7 +22,6 @@ namespace {
 
 struct SweepPoint {
   size_t threads = 1;
-  bool columnar = false;
   double dense_scoring_ms = 0.0;
   double dense_total_ms = 0.0;
   uint64_t dense_entities = 0;
@@ -81,10 +79,6 @@ int Run() {
   // Per-query scanned bytes (columnar layout), from the interpretation's
   // bound attributes. Captured while the store is resident.
   const core::ColumnarSummaryStore* store = db.columnar_store();
-  if (store == nullptr) {
-    fprintf(stderr, "columnar store missing after build\n");
-    return 1;
-  }
   const size_t store_bytes = store->bytes();
   std::vector<double> query_bytes_per_entity(dense_sql.size(), 0.0);
   for (size_t i = 0; i < dense_sql.size(); ++i) {
@@ -108,57 +102,42 @@ int Run() {
   std::vector<SweepPoint> sweep;
   for (size_t t : threads) {
     db.SetNumThreads(t);
-    for (bool columnar : {false, true}) {
-      db.SetColumnar(columnar);
-      SweepPoint point;
-      point.threads = t;
-      point.columnar = columnar;
-      // Warm-up pass: faults the fixture in and fills the
-      // interpretation path once per query.
-      for (const auto& sql : dense_sql) {
-        auto result = db.Execute(sql);
-        if (!result.ok()) {
-          fprintf(stderr, "query failed: %s\n",
-                  result.status().ToString().c_str());
-          return 1;
-        }
+    SweepPoint point;
+    point.threads = t;
+    // Warm-up pass: faults the fixture in and fills the
+    // interpretation path once per query.
+    for (const auto& sql : dense_sql) {
+      auto result = db.Execute(sql);
+      if (!result.ok()) {
+        fprintf(stderr, "query failed: %s\n",
+                result.status().ToString().c_str());
+        return 1;
       }
-      for (int r = 0; r < repeats; ++r) {
-        for (size_t i = 0; i < dense_sql.size(); ++i) {
-          auto result = db.Execute(dense_sql[i]);
-          if (!result.ok()) return 1;
-          point.dense_scoring_ms += result->stats.scoring_ms;
-          point.dense_total_ms += result->stats.total_ms;
-          point.dense_entities += result->stats.entities_scored;
-          point.dense_scan_bytes +=
-              static_cast<double>(result->stats.entities_scored) *
-              query_bytes_per_entity[i];
-        }
-        for (const auto& sql : filtered_sql) {
-          auto result = db.Execute(sql);
-          if (!result.ok()) return 1;
-          point.filtered_total_ms += result->stats.total_ms;
-        }
-      }
-      printf("  threads=%zu %-8s dense %10.0f entities/s  (%.3f GB/s, "
-             "scoring %.1f ms)\n",
-             t, columnar ? "columnar" : "row", point.EntitiesPerSec(),
-             point.ScanGBps(), point.dense_scoring_ms);
-      sweep.push_back(point);
     }
+    for (int r = 0; r < repeats; ++r) {
+      for (size_t i = 0; i < dense_sql.size(); ++i) {
+        auto result = db.Execute(dense_sql[i]);
+        if (!result.ok()) return 1;
+        point.dense_scoring_ms += result->stats.scoring_ms;
+        point.dense_total_ms += result->stats.total_ms;
+        point.dense_entities += result->stats.entities_scored;
+        point.dense_scan_bytes +=
+            static_cast<double>(result->stats.entities_scored) *
+            query_bytes_per_entity[i];
+      }
+      for (const auto& sql : filtered_sql) {
+        auto result = db.Execute(sql);
+        if (!result.ok()) return 1;
+        point.filtered_total_ms += result->stats.total_ms;
+      }
+    }
+    printf("  threads=%zu dense %10.0f entities/s  (%.3f GB/s, "
+           "scoring %.1f ms)\n",
+           t, point.EntitiesPerSec(), point.ScanGBps(),
+           point.dense_scoring_ms);
+    sweep.push_back(point);
   }
-  db.SetColumnar(true);
-
-  const SweepPoint* row_1t = nullptr;
-  const SweepPoint* col_1t = nullptr;
-  for (const auto& point : sweep) {
-    if (point.threads != 1) continue;
-    (point.columnar ? col_1t : row_1t) = &point;
-  }
-  const double speedup_1t =
-      (row_1t != nullptr && col_1t != nullptr && col_1t->EntitiesPerSec() > 0)
-          ? col_1t->EntitiesPerSec() / row_1t->EntitiesPerSec()
-          : 0.0;
+  const SweepPoint& one_thread = sweep.front();  // threads[0] == 1.
 
   FILE* out = fopen("BENCH_scale.json", "w");
   if (out == nullptr) {
@@ -178,27 +157,23 @@ int Run() {
   for (size_t i = 0; i < sweep.size(); ++i) {
     const auto& point = sweep[i];
     fprintf(out,
-            "    {\"threads\": %zu, \"columnar\": %s, "
+            "    {\"threads\": %zu, "
             "\"dense_scoring_ms\": %.3f, \"dense_total_ms\": %.3f, "
             "\"dense_entities_per_sec\": %.1f, \"scan_gbps\": %.4f, "
             "\"filtered_total_ms\": %.3f}%s\n",
-            point.threads, point.columnar ? "true" : "false",
+            point.threads,
             point.dense_scoring_ms, point.dense_total_ms,
             point.EntitiesPerSec(), point.ScanGBps(),
             point.filtered_total_ms, i + 1 < sweep.size() ? "," : "");
   }
   fprintf(out, "  ],\n");
-  fprintf(out, "  \"dense_entities_per_sec_row_1t\": %.1f,\n",
-          row_1t != nullptr ? row_1t->EntitiesPerSec() : 0.0);
   fprintf(out, "  \"dense_entities_per_sec_columnar_1t\": %.1f,\n",
-          col_1t != nullptr ? col_1t->EntitiesPerSec() : 0.0);
-  fprintf(out, "  \"scan_gbps_columnar_1t\": %.4f,\n",
-          col_1t != nullptr ? col_1t->ScanGBps() : 0.0);
-  fprintf(out, "  \"columnar_speedup_1t\": %.3f\n", speedup_1t);
+          one_thread.EntitiesPerSec());
+  fprintf(out, "  \"scan_gbps_columnar_1t\": %.4f\n", one_thread.ScanGBps());
   fprintf(out, "}\n");
   fclose(out);
-  printf("Wrote BENCH_scale.json (single-core columnar speedup %.2fx)\n",
-         speedup_1t);
+  printf("Wrote BENCH_scale.json (single-core %.0f entities/s)\n",
+         one_thread.EntitiesPerSec());
   return 0;
 }
 

@@ -32,7 +32,7 @@ inline constexpr const char* kSites[] = {
     "interpret.cooccur",     // Interpreter co-occurrence stage.
     "interpret.embed",       // Query-embedding prologue in ExecuteQuery.
     "index.scan",            // InvertedIndex::TopKWeighted entry.
-    "score.features",        // OpineDb::AtomDegreeOfTruth entry.
+    "score.features",        // Per-atom degree (ConditionScorer).
     "score.text_fallback",   // OpineDb::TextFallbackDegree entry.
     "score.alloc",           // Degree-list allocation in SubjectiveScoreOp.
     "cache.interp_lookup",   // Interpretation-cache consult (ExecuteQuery

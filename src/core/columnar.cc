@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/fault.h"
+#include "core/engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -146,47 +147,57 @@ size_t ColumnarSummaryStore::bytes() const {
   return total;
 }
 
-ConditionScorer::ConditionScorer(const ColumnarSummaryStore& store,
+ConditionScorer::ConditionScorer(const OpineDb& db,
+                                 const std::string& predicate,
                                  const PredicateInterpretation& interpretation,
                                  const embedding::Vec& query_rep,
-                                 double query_sentiment,
-                                 fuzzy::Variant variant,
-                                 const MembershipModel* model)
-    : query_rep_(&query_rep),
+                                 double query_sentiment)
+    : db_(&db),
+      predicate_(&predicate),
+      query_rep_(&query_rep),
+      // Same value Cosine recomputes per row-arm call: Norm(query_rep).
+      query_norm_(embedding::Norm(query_rep)),
       query_sentiment_(query_sentiment),
-      variant_(variant),
-      model_(model),
-      conjunctive_(interpretation.conjunctive) {
-  if (interpretation.atoms.empty()) return;
+      variant_(db.options().variant),
+      model_(db.has_membership_model() ? &db.membership_model() : nullptr),
+      conjunctive_(interpretation.conjunctive),
+      text_fallback_(interpretation.method == InterpretMethod::kTextFallback ||
+                     interpretation.atoms.empty()) {
+  if (text_fallback_) return;
+  const ColumnarSummaryStore& store = *db.columnar_store();
   atoms_.reserve(interpretation.atoms.size());
   for (const auto& atom : interpretation.atoms) {
-    if (atom.attribute < 0 ||
-        static_cast<size_t>(atom.attribute) >= store.num_attributes()) {
-      return;  // Unbindable atom: ok_ stays false, caller uses rows.
-    }
-    const AttributeColumns& cols =
-        store.attribute(static_cast<size_t>(atom.attribute));
+    BoundAtom bound{atom};
     // MembershipFeatures clamps the marker at zero; mirror that here so
-    // a -1 marker binds to cell 0 exactly like the row path.
+    // a -1 marker binds to cell 0 exactly like the row arm.
     const size_t marker = static_cast<size_t>(std::max(0, atom.marker));
-    if (cols.num_markers == 0 || marker >= cols.num_markers ||
-        cols.num_entities != store.num_entities() ||
-        cols.dim != query_rep.size()) {
-      return;
+    if (db.options().use_markers && atom.attribute >= 0 &&
+        static_cast<size_t>(atom.attribute) < store.num_attributes()) {
+      const AttributeColumns& cols =
+          store.attribute(static_cast<size_t>(atom.attribute));
+      if (marker < cols.num_markers &&
+          cols.num_entities == store.num_entities() &&
+          cols.dim == query_rep.size()) {
+        bound.columns = &cols;
+        bound.marker = marker;
+      }
     }
-    atoms_.push_back(BoundAtom{&cols, marker});
+    atoms_.push_back(bound);
   }
-  // Same value Cosine recomputes per row-path call: Norm(query_rep).
-  query_norm_ = embedding::Norm(query_rep);
-  ok_ = true;
 }
 
-double ConditionScorer::AtomDegree(size_t atom_index, size_t entity) const {
-  // Site order matches the row path: the engine fires score.features
-  // before featurizing, and MembershipFeatures counts itself first.
+double ConditionScorer::AtomDegree(const BoundAtom& atom,
+                                   size_t entity) const {
+  if (atom.columns == nullptr) {
+    return db_->AtomDegreeOfTruth(atom.atom,
+                                  static_cast<text::EntityId>(entity),
+                                  *query_rep_, query_sentiment_);
+  }
+  // Site order matches the row arm: AtomDegreeOfTruth fires
+  // score.features before featurizing, and MembershipFeatures counts
+  // itself first.
   OPINEDB_FAULT("score.features");
   OPINEDB_METRIC_COUNT("membership.marker_featurizations", 1);
-  const BoundAtom& atom = atoms_[atom_index];
   const AttributeColumns& cols = *atom.columns;
   double f[kMembershipFeatureDim] = {0.0};
   const double total = cols.total[entity];
@@ -211,7 +222,7 @@ double ConditionScorer::AtomDegree(size_t atom_index, size_t entity) const {
           cols.centroid_norm[base + j], cols.dim);
       weighted_similarity += frac * cosine;
       if (j <= m) mass_at_or_above += frac;
-      // The row path recomputes Cosine(query, target) for f[5]; the
+      // The row arm recomputes Cosine(query, target) for f[5]; the
       // deterministic recomputation equals the j == m loop value, so
       // reusing it here changes no bits.
       if (j == m) target_cosine = cosine;
@@ -234,13 +245,15 @@ double ConditionScorer::AtomDegree(size_t atom_index, size_t entity) const {
 }
 
 double ConditionScorer::Score(size_t entity) const {
+  if (text_fallback_) {
+    return db_->TextFallbackDegree(*predicate_,
+                                   static_cast<text::EntityId>(entity));
+  }
   double acc = 0.0;
-  bool first = true;
   for (size_t i = 0; i < atoms_.size(); ++i) {
-    const double d = AtomDegree(i, entity);
-    if (first) {
+    const double d = AtomDegree(atoms_[i], entity);
+    if (i == 0) {
       acc = d;
-      first = false;
     } else if (conjunctive_) {
       acc = fuzzy::And(variant_, acc, d);
     } else {
@@ -250,16 +263,8 @@ double ConditionScorer::Score(size_t entity) const {
   return acc;
 }
 
-size_t ConditionScorer::scan_bytes_per_entity() const {
-  size_t bytes = 0;
-  for (const auto& atom : atoms_) {
-    bytes += atom.columns->scan_bytes_per_entity();
-  }
-  return bytes;
-}
-
 ColumnarTable::ColumnarTable(const storage::Table& table)
-    : name_(table.name()), num_rows_(table.num_rows()) {
+    : num_rows_(table.num_rows()) {
   columns_.resize(table.num_columns());
   for (size_t c = 0; c < table.num_columns(); ++c) {
     Column& col = columns_[c];
@@ -322,10 +327,9 @@ size_t ColumnarTable::bytes() const {
   return total;
 }
 
-std::optional<ColumnarTable::CompiledPredicate> ColumnarTable::Compile(
+ColumnarTable::CompiledPredicate ColumnarTable::Compile(
     const storage::BoundColumnPredicate& predicate) const {
-  if (predicate.column() >= columns_.size()) return std::nullopt;
-  const Column& col = columns_[predicate.column()];
+  const Column& col = columns_.at(predicate.column());
   const storage::Value& literal = predicate.literal();
   CompiledPredicate compiled;
   compiled.is_null = col.is_null.data();

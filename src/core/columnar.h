@@ -2,7 +2,6 @@
 #define OPINEDB_CORE_COLUMNAR_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,6 +15,8 @@
 #include "storage/table.h"
 
 namespace opinedb::core {
+
+class OpineDb;
 
 /// One attribute's marker summaries in structure-of-arrays layout.
 ///
@@ -93,47 +94,48 @@ class ColumnarSummaryStore {
   size_t num_entities_ = 0;
 };
 
-/// One interpreted subjective condition bound to the columnar store for
-/// dense evaluation: every atom resolved to its attribute's columns and
-/// marker index, the query embedding's norm precomputed once. Score(e)
-/// computes the condition's degree of truth for one entity as a
-/// contiguous sweep over that entity's cells, replicating the row path's
-/// arithmetic operation for operation (same feature formulas, same fold
-/// order, same fault site and metric counter) so results are
-/// bit-identical — the row path stays on as the differential oracle
-/// behind EngineOptions::columnar.
+/// The one way a subjective condition is scored (SubjectiveScoreOp,
+/// DegreeCache, PredicateDegreeOfTruth): built once per (interpretation,
+/// query rep, sentiment, predicate), then Score(e) yields the condition's
+/// degree of truth for any entity.
+///
+///   - Text fallback (kTextFallback, or no atoms): the BM25 retrieval
+///     degree, OpineDb::TextFallbackDegree.
+///   - Otherwise the per-atom membership degrees folded in atom order
+///     with the interpretation's connective. An atom bound to the
+///     columnar store is a contiguous sweep over the entity's cells that
+///     replicates the row arithmetic operation for operation; the
+///     use_markers = false ablation, and any atom the store cannot bind,
+///     take OpineDb::AtomDegreeOfTruth. For a marker atom both arms fire
+///     score.features, then count membership.marker_featurizations, and
+///     produce bit-identical doubles.
+///
+/// Nothing is caught here: a failure propagates to the caller, which
+/// owns the fallback policy.
 class ConditionScorer {
  public:
-  /// `model` may be null (heuristic fallback). `query_rep` must outlive
-  /// the scorer. When any atom cannot be bound (attribute/marker out of
-  /// range, dimension mismatch) ok() is false and the caller must use
-  /// the row path.
-  ConditionScorer(const ColumnarSummaryStore& store,
+  /// `predicate` and `query_rep` must outlive the scorer, and `db`'s
+  /// derived state must not be rebuilt while it lives.
+  ConditionScorer(const OpineDb& db, const std::string& predicate,
                   const PredicateInterpretation& interpretation,
-                  const embedding::Vec& query_rep, double query_sentiment,
-                  fuzzy::Variant variant, const MembershipModel* model);
+                  const embedding::Vec& query_rep, double query_sentiment);
 
-  bool ok() const { return ok_; }
-
-  /// Degree of truth of the whole condition for one entity: per-atom
-  /// membership degrees folded in atom order with the interpretation's
-  /// connective — the row path's exact fold.
+  /// Degree of truth of the whole condition for one entity.
   double Score(size_t entity) const;
-
-  /// Membership degree of one atom for one entity (the columnar
-  /// equivalent of OpineDb::AtomDegreeOfTruth over markers).
-  double AtomDegree(size_t atom_index, size_t entity) const;
-
-  /// Bytes the per-entity sweep streams across all atoms — feeds the
-  /// bench's achieved-GB/s figure.
-  size_t scan_bytes_per_entity() const;
 
  private:
   struct BoundAtom {
+    AtomInterpretation atom;
+    /// nullptr: the atom is scored through OpineDb::AtomDegreeOfTruth.
     const AttributeColumns* columns = nullptr;
     size_t marker = 0;
   };
 
+  /// Membership degree of one atom for one entity.
+  double AtomDegree(const BoundAtom& atom, size_t entity) const;
+
+  const OpineDb* db_ = nullptr;
+  const std::string* predicate_ = nullptr;
   std::vector<BoundAtom> atoms_;
   const embedding::Vec* query_rep_ = nullptr;
   double query_norm_ = 0.0;
@@ -141,22 +143,21 @@ class ConditionScorer {
   fuzzy::Variant variant_ = fuzzy::Variant::kProduct;
   const MembershipModel* model_ = nullptr;
   bool conjunctive_ = true;
-  bool ok_ = false;
+  bool text_fallback_ = false;
 };
 
 /// Columnar mirror of an objective table: numeric columns as contiguous
 /// double arrays with a null bitmap, string columns dictionary-encoded
 /// against a sorted distinct list (rank order == storage::Value string
-/// order, so comparing ranks is comparing strings). Built once in
-/// SetObjectiveTable; ObjectiveFilterOp and the 0/1 objective lists in
-/// SubjectiveScoreOp evaluate bound predicates against it as dense
-/// sweeps with Value::Compare's exact semantics (NULL never matches,
-/// numbers before strings, NaN compares equal).
+/// order, so comparing ranks is comparing strings). SetObjectiveTable
+/// builds one per registered table; ObjectiveFilterOp and the 0/1
+/// objective lists in SubjectiveScoreOp evaluate every bound predicate
+/// against it as dense sweeps with Value::Compare's exact semantics
+/// (NULL never matches, numbers before strings, NaN compares equal).
 class ColumnarTable {
  public:
   explicit ColumnarTable(const storage::Table& table);
 
-  const std::string& table_name() const { return name_; }
   size_t num_rows() const { return num_rows_; }
   size_t bytes() const;
 
@@ -176,9 +177,9 @@ class ColumnarTable {
     bool accept[3] = {false, false, false};  // accept[cmp + 1].
   };
 
-  /// Lowers a bound predicate; nullopt when the column cannot be
-  /// evaluated columnar (caller falls back to the row path).
-  std::optional<CompiledPredicate> Compile(
+  /// Lowers a predicate bound against the mirrored table; every column
+  /// type compiles.
+  CompiledPredicate Compile(
       const storage::BoundColumnPredicate& predicate) const;
 
   /// Row-level evaluation, bit-identical to
@@ -224,7 +225,6 @@ class ColumnarTable {
     std::vector<std::string> dict;        // Sorted distinct strings.
   };
 
-  std::string name_;
   size_t num_rows_ = 0;
   std::vector<Column> columns_;
 };

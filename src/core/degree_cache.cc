@@ -13,61 +13,6 @@
 
 namespace opinedb::core {
 
-namespace {
-
-/// The columnar binding shared by ComputeDegrees and RefreshAfterIngest:
-/// one ConditionScorer per (interpretation, rep) when the store can
-/// evaluate it, otherwise nullopt (row path). The returned scorer holds
-/// a pointer to `rep`, which must outlive it.
-std::optional<ConditionScorer> BindScorer(
-    const OpineDb& db, const PredicateInterpretation& interpretation,
-    const embedding::Vec& rep, double senti) {
-  std::optional<ConditionScorer> scorer;
-  if (const ColumnarSummaryStore* store = db.columnar_store();
-      store != nullptr && db.options().use_markers &&
-      interpretation.method != InterpretMethod::kTextFallback &&
-      !interpretation.atoms.empty()) {
-    scorer.emplace(*store, interpretation, rep, senti, db.options().variant,
-                   db.has_membership_model() ? &db.membership_model()
-                                             : nullptr);
-    if (!scorer->ok()) scorer.reset();
-  }
-  return scorer;
-}
-
-/// One entity's degree under one bound interpretation — the single
-/// scoring step shared by ComputeDegrees' dense sweep and
-/// RefreshAfterIngest's slot patching, factored out so the two paths
-/// cannot drift apart (the refresh must write exactly the double a
-/// fresh materialization would).
-double ScoreEntityOnce(const OpineDb& db, const std::string& predicate,
-                       const PredicateInterpretation& interpretation,
-                       const std::optional<ConditionScorer>& scorer,
-                       const embedding::Vec& rep, double senti, size_t e) {
-  const auto entity = static_cast<text::EntityId>(e);
-  if (interpretation.method == InterpretMethod::kTextFallback ||
-      interpretation.atoms.empty()) {
-    return db.TextFallbackDegree(predicate, entity);
-  }
-  if (scorer.has_value()) return scorer->Score(e);
-  double acc = 0.0;
-  bool first = true;
-  for (const auto& atom : interpretation.atoms) {
-    const double d = db.AtomDegreeOfTruth(atom, entity, rep, senti);
-    if (first) {
-      acc = d;
-      first = false;
-    } else if (interpretation.conjunctive) {
-      acc = fuzzy::And(db.options().variant, acc, d);
-    } else {
-      acc = fuzzy::Or(db.options().variant, acc, d);
-    }
-  }
-  return acc;
-}
-
-}  // namespace
-
 DegreeCache::DegreeCache(const OpineDb* db, size_t num_shards)
     : db_(db),
       shards_(num_shards > 0
@@ -104,11 +49,9 @@ std::optional<DegreeCache::CachedList> DegreeCache::ComputeDegrees(
   // loop below is exactly the pre-deadline hot path.
   const bool deadline_active = deadline != nullptr && deadline->active();
   std::atomic<size_t> scored{0};
-  // Columnar plane: one binding per list materialization, then the
-  // per-entity loop below becomes a contiguous SoA sweep emitting the
-  // same doubles as the row walk (same fault/metric sites too).
-  const std::optional<ConditionScorer> scorer =
-      BindScorer(*db_, interpretation, rep, senti);
+  // The same scorer SubjectiveScoreOp builds, so a cached list holds
+  // exactly the doubles a query would compute (same fault/metric sites).
+  const ConditionScorer scorer(*db_, predicate, interpretation, rep, senti);
   auto score_range = [&](size_t begin, size_t end) {
     size_t e = begin;
     for (; e < end; ++e) {
@@ -116,8 +59,7 @@ std::optional<DegreeCache::CachedList> DegreeCache::ComputeDegrees(
           deadline->Expired()) {
         break;
       }
-      degrees[e] = ScoreEntityOnce(*db_, predicate, interpretation, scorer,
-                                   rep, senti, e);
+      degrees[e] = scorer.Score(e);
     }
     if (deadline_active) {
       scored.fetch_add(e - begin, std::memory_order_relaxed);
@@ -256,8 +198,10 @@ size_t DegreeCache::RefreshAfterIngest(
       }
       const embedding::Vec rep = db_->phrase_embedder().Represent(predicate);
       const double senti = db_->analyzer().ScorePhrase(predicate);
-      const std::optional<ConditionScorer> scorer =
-          BindScorer(*db_, interpretation, rep, senti);
+      // The scorer ComputeDegrees uses: a patched slot holds exactly the
+      // double a fresh materialization would.
+      const ConditionScorer scorer(*db_, predicate, interpretation, rep,
+                                   senti);
       if (interpretation == entry.interpretation) {
         // Additive ingest with an unchanged interpretation leaves every
         // untouched entity's degree bit-exact — patch only the touched
@@ -266,16 +210,14 @@ size_t DegreeCache::RefreshAfterIngest(
           if (id < 0) continue;
           const size_t e = static_cast<size_t>(id);
           if (e >= entry.degrees.size()) continue;
-          entry.degrees[e] = ScoreEntityOnce(*db_, predicate, interpretation,
-                                             scorer, rep, senti, e);
+          entry.degrees[e] = scorer.Score(e);
         }
       } else {
         // The ingest grew the variation table or shifted the idf enough
         // to change this predicate's interpretation: every slot is
         // suspect, recompute the full list under the new one.
         for (size_t e = 0; e < entry.degrees.size(); ++e) {
-          entry.degrees[e] = ScoreEntityOnce(*db_, predicate, interpretation,
-                                             scorer, rep, senti, e);
+          entry.degrees[e] = scorer.Score(e);
         }
         entry.interpretation = std::move(interpretation);
         ++recomputed;

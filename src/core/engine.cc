@@ -277,12 +277,8 @@ void OpineDb::RebuildDerivedState() {
   // function holds the exclusive reconfiguration lock (or is Build,
   // before the engine is shared), so mirror and rows swap atomically
   // with respect to queries.
-  if (options_.columnar) {
-    columnar_ = std::make_unique<ColumnarSummaryStore>(
-        tables_, corpus_.num_entities(), pool_.get());
-  } else {
-    columnar_.reset();
-  }
+  columnar_ = std::make_unique<ColumnarSummaryStore>(
+      tables_, corpus_.num_entities(), pool_.get());
 }
 
 Status OpineDb::SetObjectiveTable(storage::Table table) {
@@ -293,27 +289,19 @@ Status OpineDb::SetObjectiveTable(storage::Table table) {
         std::to_string(table.num_rows()) + ")");
   }
   std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
-  objective_table_ = table.name();
+  const std::string name = table.name();
   Status status = catalog_.AddTable(std::move(table));
   if (!status.ok()) return status;
-  // Mirror the objective rows into columns once; predicates sweep the
-  // mirror from then on. Kept even while the columnar plane is toggled
-  // off — the objective_columns() accessor gates on options_.columnar.
-  auto stored = catalog_.GetTable(objective_table_);
-  if (stored.ok()) {
-    objective_columns_ = std::make_unique<ColumnarTable>(**stored);
-  }
+  // Mirror the rows into columns once; predicates sweep the mirror from
+  // then on.
+  objective_columns_[name] =
+      std::make_unique<ColumnarTable>(**catalog_.GetTable(name));
   return Status::OK();
 }
 
-const ColumnarTable* OpineDb::objective_columns(
+const ColumnarTable& OpineDb::objective_columns(
     const storage::Table& table) const {
-  if (!options_.columnar || objective_columns_ == nullptr) return nullptr;
-  if (objective_columns_->table_name() != table.name() ||
-      objective_columns_->num_rows() != table.num_rows()) {
-    return nullptr;  // Stale mirror (table mutated behind the catalog).
-  }
-  return objective_columns_.get();
+  return *objective_columns_.at(table.name());
 }
 
 Status OpineDb::InstallSummaries(
@@ -345,43 +333,6 @@ Status OpineDb::InstallSummaries(
   RebuildDerivedState();
   InvalidateCachesLocked();
   return Status::OK();
-}
-
-void OpineDb::SetColumnar(bool enabled) {
-  if (!enabled) {
-    std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
-    options_.columnar = false;
-    columnar_.reset();
-    return;
-  }
-  // Enabling builds a full SoA mirror — seconds at the 1M-entity scale.
-  // Doing that under the exclusive lock would stall every query behind
-  // the build (and, with writers preferred, behind the lock request
-  // itself). Instead: build against a stable shared-lock view, then
-  // swap under the exclusive lock iff no data mutation landed in
-  // between (every mutation bumps the cache epoch under the exclusive
-  // lock, so an equal epoch proves the mirror still describes tables_).
-  for (;;) {
-    std::unique_ptr<ColumnarSummaryStore> store;
-    uint64_t built_at_epoch = 0;
-    {
-      std::shared_lock<std::shared_mutex> lock(reconfig_mu_);
-      if (options_.columnar && columnar_ != nullptr) return;
-      built_at_epoch = cache_epoch_.load(std::memory_order_relaxed);
-      store = std::make_unique<ColumnarSummaryStore>(
-          tables_, corpus_.num_entities(), pool_.get());
-    }
-    std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
-    if (options_.columnar && columnar_ != nullptr) return;
-    if (cache_epoch_.load(std::memory_order_relaxed) != built_at_epoch) {
-      continue;  // Data moved under the build; the mirror is stale.
-    }
-    options_.columnar = true;
-    columnar_ = std::move(store);
-    return;
-  }
-  // No InvalidateCachesLocked(): both planes emit bit-identical degrees,
-  // so every cached artifact stays valid — execution config, not data.
 }
 
 Status OpineDb::TrainMembership(
@@ -418,18 +369,7 @@ void OpineDb::InvalidateCachesLocked() {
     OPINEDB_METRIC_GAUGE_SET("engine.cache_epoch",
                              static_cast<double>(degree_cache_->epoch()));
   }
-  // Wholesale mutation: every entity's served data changed.
-  entity_data_epoch_.assign(corpus_.num_entities(), epoch);
   OPINEDB_METRIC_GAUGE_SET("engine.cache.epoch", static_cast<double>(epoch));
-}
-
-uint64_t OpineDb::entity_data_epoch(text::EntityId entity) const {
-  std::shared_lock<std::shared_mutex> lock(reconfig_mu_);
-  if (entity < 0 ||
-      static_cast<size_t>(entity) >= entity_data_epoch_.size()) {
-    return 0;
-  }
-  return entity_data_epoch_[static_cast<size_t>(entity)];
 }
 
 void OpineDb::ConfigureCaches(const cache::CacheConfig& config) {
@@ -767,9 +707,7 @@ Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
     }
   }
   interpreter_->AppendNewExtractions();
-  if (columnar_ != nullptr) {
-    columnar_->UpdateEntities(tables_, touched);
-  }
+  columnar_->UpdateEntities(tables_, touched);
 
   // Surgical cache maintenance — the whole reason ingest is not a
   // Reaggregate. One epoch bump expires result-cache entries lazily (a
@@ -777,12 +715,6 @@ Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
   // unsound there); everything else keeps its warm set.
   const uint64_t epoch =
       cache_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (entity_data_epoch_.size() < corpus_.num_entities()) {
-    entity_data_epoch_.resize(corpus_.num_entities(), 0);
-  }
-  for (const text::EntityId entity : touched) {
-    entity_data_epoch_[static_cast<size_t>(entity)] = epoch;
-  }
   if (interp_cache_ != nullptr) {
     // Interpretations can change under ingest (the variation table and
     // per-attribute idf grow), so entries are re-derived from the
@@ -1039,12 +971,6 @@ Status OpineDb::CheckpointLocked() {
   return Status::OK();
 }
 
-double OpineDb::HeuristicDegree(const std::vector<double>& features) const {
-  // Single shared implementation with the columnar sweep (see
-  // core/membership.h) so both paths produce the same doubles.
-  return HeuristicMembershipDegree(features.data(), features.size());
-}
-
 double OpineDb::AtomDegreeOfTruth(const AtomInterpretation& atom,
                                   text::EntityId entity,
                                   const embedding::Vec& query_rep,
@@ -1062,7 +988,8 @@ double OpineDb::AtomDegreeOfTruth(const AtomInterpretation& atom,
   }
   const double d = membership_.has_value()
                        ? membership_->DegreeOfTruth(features)
-                       : HeuristicDegree(features);
+                       : HeuristicMembershipDegree(features.data(),
+                                                   features.size());
   // Degrees of truth are [0, 1] by contract; one rogue NaN would
   // propagate through every ⊗/⊕ combine and corrupt the ranking
   // comparator's total order.
@@ -1093,26 +1020,9 @@ double OpineDb::PredicateDegreeOfTruth(const std::string& predicate,
         computed.sentiment = analyzer_.ScorePhrase(predicate);
         return computed;
       });
-  const PredicateInterpretation& interpretation = entry.interpretation;
-  if (interpretation.method == InterpretMethod::kTextFallback ||
-      interpretation.atoms.empty()) {
-    return TextFallbackDegree(predicate, entity);
-  }
-  double acc = 0.0;
-  bool first = true;
-  for (const auto& atom : interpretation.atoms) {
-    const double d = AtomDegreeOfTruth(atom, entity, entry.rep,
-                                       entry.sentiment);
-    if (first) {
-      acc = d;
-      first = false;
-    } else if (interpretation.conjunctive) {
-      acc = fuzzy::And(options_.variant, acc, d);
-    } else {
-      acc = fuzzy::Or(options_.variant, acc, d);
-    }
-  }
-  return acc;
+  return ConditionScorer(*this, predicate, entry.interpretation, entry.rep,
+                         entry.sentiment)
+      .Score(static_cast<size_t>(entity));
 }
 
 Result<QueryResult> OpineDb::Execute(const std::string& sql) const {

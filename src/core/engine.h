@@ -6,6 +6,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_config.h"
@@ -79,12 +80,6 @@ struct EngineOptions {
   /// Result / interpretation caching (both layers default OFF; see
   /// docs/CACHING.md). Reconfigurable at runtime via ConfigureCaches.
   cache::CacheConfig cache;
-  /// Columnar data plane (docs/SCALING.md): mirror the marker summaries
-  /// and the objective table into structure-of-arrays columns and score
-  /// subjective conditions as dense contiguous sweeps. Results are
-  /// bit-identical to the row path, which stays on as the differential
-  /// oracle when this is false. Toggle at runtime with SetColumnar.
-  bool columnar = true;
   /// Shard count of an attached DegreeCache built with the default
   /// constructor argument (lock striping for concurrent serving).
   size_t degree_cache_shards = 16;
@@ -191,7 +186,8 @@ class OpineDb {
       const extract::ExtractionPipeline& pipeline,
       EngineOptions options = EngineOptions());
 
-  /// Registers the objective table. Row i must describe entity i.
+  /// Registers an objective table and builds its columnar mirror. Row i
+  /// must describe entity i.
   Status SetObjectiveTable(storage::Table table);
 
   /// Trains the membership model from labeled (features, y) tuples.
@@ -263,8 +259,7 @@ class OpineDb {
   /// unsound there), interpretation-cache entries are re-derived and
   /// re-tagged at the new epoch, and an attached degree cache is patched
   /// in place for just the touched entities (DegreeCache::
-  /// RefreshAfterIngest). Per-entity data epochs (entity_data_epoch)
-  /// advance only for entities with new reviews.
+  /// RefreshAfterIngest).
   ///
   /// When a WAL is enabled (EnableWal) the batch is journaled —
   /// append + fsync — before any state changes; an error from the
@@ -374,16 +369,6 @@ class OpineDb {
   Status InstallSummaries(
       std::vector<std::vector<MarkerSummary>> summaries);
 
-  /// Toggles the columnar data plane at runtime (differential tests and
-  /// benches flip it between runs). Enabling builds the summary mirror
-  /// off-lock against a stable shared-lock view of the tables — queries
-  /// keep flowing during the build — then swaps it in under the
-  /// exclusive lock, retrying the build if a data mutation landed in
-  /// between (detected by a cache-epoch change). No cache-epoch bump:
-  /// both planes produce bit-identical results, so cached artifacts
-  /// remain valid — this reconfigures execution, not data.
-  void SetColumnar(bool enabled);
-
   /// Resizes the worker pool (0 = hardware concurrency, 1 = serial).
   /// Results are bit-identical at any thread count. Serialized against
   /// in-flight queries by the reconfiguration lock: the swap waits for
@@ -420,15 +405,6 @@ class OpineDb {
   uint64_t cache_epoch() const {
     return cache_epoch_.load(std::memory_order_relaxed);
   }
-
-  /// Data epoch of one entity: the cache_epoch() value of the last
-  /// mutation that changed its served data. Wholesale mutations
-  /// (Reaggregate, OpenDatabase, InstallSummaries, TrainMembership)
-  /// advance every entity; AppendReviews advances only the entities the
-  /// batch touched — the observable contract behind surgical cache
-  /// maintenance, asserted by the ingest suite. Entities never mutated
-  /// since construction report 0.
-  uint64_t entity_data_epoch(text::EntityId entity) const;
 
   /// The cache layers, or nullptr when disabled (for tests / metrics
   /// scrapers; the engine consults them internally).
@@ -514,18 +490,17 @@ class OpineDb {
   /// DegreeCache for parallel precomputation.
   ThreadPool* pool() const { return pool_.get(); }
 
-  /// The columnar summary mirror, or nullptr when the columnar plane is
-  /// off. Stable for the duration of a query (rebuilt only under the
-  /// exclusive reconfiguration lock).
+  /// The columnar mirror of the marker summaries that ConditionScorer
+  /// sweeps; never null after Build. Stable for the duration of a query
+  /// (rebuilt or patched only under the exclusive reconfiguration lock).
   const ColumnarSummaryStore* columnar_store() const {
     return columnar_.get();
   }
 
-  /// The columnar mirror of `table` when the columnar plane is on and
-  /// the mirror matches it (same name and row count); nullptr otherwise
-  /// (callers fall back to row-at-a-time Matches).
-  const ColumnarTable* objective_columns(
-      const storage::Table& table) const;
+  /// The columnar mirror of a table registered with SetObjectiveTable
+  /// (the catalog never mutates a registered table, so the mirror built
+  /// at registration stays exact).
+  const ColumnarTable& objective_columns(const storage::Table& table) const;
 
   // OpineDb holds internal cross-references (the aggregator, interpreter
   // and phrase embedder point at sibling members), so it is pinned in
@@ -540,10 +515,9 @@ class OpineDb {
   OpineDb() = default;
 
   void RebuildDerivedState();
-  double HeuristicDegree(const std::vector<double>& features) const;
-  /// The single wholesale epoch-bump point: advances cache_epoch_ once,
-  /// clears every cache layer (result, interpretation, attached degree
-  /// cache) and advances every entity's data epoch. Requires reconfig_mu_
+  /// The single wholesale epoch-bump point: advances cache_epoch_ once
+  /// and clears every cache layer (result, interpretation, attached
+  /// degree cache). Requires reconfig_mu_
   /// held exclusively. AppendReviews deliberately does NOT route through
   /// here — it bumps the epoch but keeps caches warm (see its doc).
   void InvalidateCachesLocked();
@@ -581,13 +555,14 @@ class OpineDb {
   std::unique_ptr<Interpreter> interpreter_;
   std::optional<MembershipModel> membership_;
   storage::Catalog catalog_;
-  std::string objective_table_;
-  /// Columnar mirrors of the hot data plane (docs/SCALING.md): rebuilt
-  /// by RebuildDerivedState / SetObjectiveTable under the exclusive
-  /// reconfiguration lock, read by queries under the shared lock.
-  /// columnar_ is null when options_.columnar is false.
+  /// Columnar mirrors of the hot data plane (docs/SCALING.md): the
+  /// summaries' (RebuildDerivedState, patched by ingest) and one per
+  /// catalog table, keyed by name (SetObjectiveTable). Written under the
+  /// exclusive reconfiguration lock, read by queries under the shared
+  /// lock.
   std::unique_ptr<ColumnarSummaryStore> columnar_;
-  std::unique_ptr<ColumnarTable> objective_columns_;
+  std::unordered_map<std::string, std::unique_ptr<ColumnarTable>>
+      objective_columns_;
   /// Fixed worker pool for the parallel execution layer; nullptr when
   /// options_.num_threads resolves to 1 (the serial path).
   std::unique_ptr<ThreadPool> pool_;
@@ -612,9 +587,6 @@ class OpineDb {
   /// precondition Reaggregate and the ingest differential oracle rely
   /// on. Set by Build; cleared by InstallSummaries and OpenDatabase.
   bool extractions_authoritative_ = false;
-  /// Per-entity data epochs; see entity_data_epoch(). Guarded by
-  /// reconfig_mu_ (written under exclusive, read under shared).
-  std::vector<uint64_t> entity_data_epoch_;
   /// Write-ahead journal state (EnableWal/Checkpoint); wal_ is engaged
   /// exactly while journaling is active. Guarded by reconfig_mu_.
   std::string wal_dir_;

@@ -33,56 +33,23 @@ namespace opinedb::core {
 Status ObjectiveFilterOp::Run(ExecContext* ctx) const {
   obs::TraceSpan span("objective_filter");
   const SubjectiveQuery& query = *ctx->query;
-  // Resolve each column once per predicate, not once per entity.
-  std::vector<storage::BoundColumnPredicate> bound;
-  bound.reserve(ctx->logical->hard_objective.size());
+  // Each hard predicate is bound once, lowered onto the table's column
+  // mirror and run as a dense AND sweep; survivors are gathered in
+  // ascending entity order. Eval is bit-identical to Matches.
+  const ColumnarTable& columns = ctx->db->objective_columns(*ctx->table);
+  std::vector<uint8_t> match(ctx->num_entities, 1);
   for (const size_t c : ctx->logical->hard_objective) {
-    auto b = query.conditions[c].objective.Bind(*ctx->table);
-    if (!b.ok()) return b.status();
-    bound.push_back(*b);
-  }
-  span.AddAttribute("predicates", static_cast<uint64_t>(bound.size()));
-  // Columnar plane: lower every predicate onto the table mirror and run
-  // dense AND sweeps over contiguous columns, then gather survivors —
-  // same membership as the row loop (Eval is bit-identical to Matches),
-  // same ascending candidate order.
-  const ColumnarTable* columns = ctx->db->objective_columns(*ctx->table);
-  std::vector<ColumnarTable::CompiledPredicate> compiled;
-  bool all_compiled = columns != nullptr;
-  if (all_compiled) {
-    compiled.reserve(bound.size());
-    for (const auto& predicate : bound) {
-      auto lowered = columns->Compile(predicate);
-      if (!lowered.has_value()) {
-        all_compiled = false;
-        break;
-      }
-      compiled.push_back(*lowered);
-    }
+    auto bound = query.conditions[c].objective.Bind(*ctx->table);
+    if (!bound.ok()) return bound.status();
+    columns.FilterInto(columns.Compile(*bound), &match);
   }
   ctx->candidates.clear();
-  if (all_compiled) {
-    std::vector<uint8_t> match(ctx->num_entities, 1);
-    for (const auto& predicate : compiled) {
-      columns->FilterInto(predicate, &match);
-    }
-    for (size_t e = 0; e < ctx->num_entities; ++e) {
-      if (match[e] != 0) ctx->candidates.push_back(e);
-    }
-    span.AddAttribute("columnar", true);
-  } else {
-    for (size_t e = 0; e < ctx->num_entities; ++e) {
-      bool pass = true;
-      for (const auto& predicate : bound) {
-        if (!predicate.Matches(*ctx->table, e)) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) ctx->candidates.push_back(e);
-    }
+  for (size_t e = 0; e < ctx->num_entities; ++e) {
+    if (match[e] != 0) ctx->candidates.push_back(e);
   }
   ctx->candidates_are_all = false;
+  span.AddAttribute("predicates",
+                    static_cast<uint64_t>(ctx->logical->hard_objective.size()));
   span.AddAttribute("entities", static_cast<uint64_t>(ctx->num_entities));
   span.AddAttribute("survivors",
                     static_cast<uint64_t>(ctx->candidates.size()));
@@ -104,6 +71,9 @@ Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
   size_t watermark = ctx->num_candidates();
   ctx->computed.resize(num_conditions);
   ctx->degrees.assign(num_conditions, nullptr);
+  auto entity_at = [ctx](size_t i) {
+    return ctx->candidates_are_all ? i : ctx->candidates[i];
+  };
   obs::TraceSpan score_span("score");
   for (size_t c = 0; c < num_conditions; ++c) {
     const Condition& condition = query.conditions[c];
@@ -111,36 +81,18 @@ Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
     condition_span.AddAttribute("index", static_cast<uint64_t>(c));
     if (condition.kind == Condition::Kind::kObjective) {
       condition_span.AddAttribute("source", "objective");
-      // Objective predicates are table lookups: the column is resolved
-      // once, then each candidate is a direct cell comparison.
+      // Objective predicates are table lookups: bound and lowered onto
+      // the column mirror once, then a 0/1 per candidate (Eval is
+      // bit-identical to Matches).
       auto bound = condition.objective.Bind(*ctx->table);
       if (!bound.ok()) return bound.status();
+      const ColumnarTable::CompiledPredicate compiled =
+          db.objective_columns(*ctx->table).Compile(*bound);
       auto& list = ctx->computed[c];
       list.assign(num_entities, 0.0);
-      const ColumnarTable* columns =
-          ctx->db->objective_columns(*ctx->table);
-      std::optional<ColumnarTable::CompiledPredicate> compiled;
-      if (columns != nullptr) compiled = columns->Compile(*bound);
-      if (compiled.has_value()) {
-        // Dense 0/1 materialization over the column mirror (Eval is
-        // bit-identical to Matches).
-        if (ctx->candidates_are_all) {
-          for (size_t e = 0; e < num_entities; ++e) {
-            list[e] = ColumnarTable::Eval(*compiled, e) ? 1.0 : 0.0;
-          }
-        } else {
-          for (const size_t e : ctx->candidates) {
-            list[e] = ColumnarTable::Eval(*compiled, e) ? 1.0 : 0.0;
-          }
-        }
-      } else if (ctx->candidates_are_all) {
-        for (size_t e = 0; e < num_entities; ++e) {
-          list[e] = bound->Matches(*ctx->table, e) ? 1.0 : 0.0;
-        }
-      } else {
-        for (const size_t e : ctx->candidates) {
-          list[e] = bound->Matches(*ctx->table, e) ? 1.0 : 0.0;
-        }
+      for (size_t i = 0; i < ctx->num_candidates(); ++i) {
+        const size_t e = entity_at(i);
+        list[e] = ColumnarTable::Eval(compiled, e) ? 1.0 : 0.0;
       }
       ctx->degrees[c] = &list;
       continue;
@@ -209,58 +161,20 @@ Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
       condition_span.AddAttribute("source", "alloc_fallback");
       continue;
     }
-    const auto& interpretation = ctx->output->interpretations[c];
-    // Columnar plane: bind the interpretation's atoms to the SoA store
-    // once per condition; Score(e) then replaces the per-entity object
-    // walk below with a contiguous sweep producing the same doubles.
-    // Unbindable shapes (no-marker ablation, text fallback, out-of-range
-    // atoms) keep the row path.
-    std::optional<ConditionScorer> scorer;
-    if (const ColumnarSummaryStore* store = db.columnar_store();
-        store != nullptr && db.options().use_markers &&
-        interpretation.method != InterpretMethod::kTextFallback &&
-        !interpretation.atoms.empty()) {
-      scorer.emplace(*store, interpretation, (*ctx->reps)[c],
-                     (*ctx->sentis)[c], db.options().variant,
-                     db.has_membership_model() ? &db.membership_model()
-                                               : nullptr);
-      if (!scorer->ok()) scorer.reset();
-    }
+    const ConditionScorer scorer(db, condition.subjective,
+                                 ctx->output->interpretations[c],
+                                 (*ctx->reps)[c], (*ctx->sentis)[c]);
     auto score_entity = [&](size_t e) {
-      const auto entity = static_cast<text::EntityId>(e);
       try {
-        if (interpretation.method == InterpretMethod::kTextFallback ||
-            interpretation.atoms.empty()) {
-          list[e] = db.TextFallbackDegree(condition.subjective, entity);
-          return;
-        }
-        if (scorer.has_value()) {
-          list[e] = scorer->Score(e);
-          return;
-        }
-        double acc = 0.0;
-        bool first = true;
-        for (const auto& atom : interpretation.atoms) {
-          const double d = db.AtomDegreeOfTruth(atom, entity,
-                                                (*ctx->reps)[c],
-                                                (*ctx->sentis)[c]);
-          if (first) {
-            acc = d;
-            first = false;
-          } else if (interpretation.conjunctive) {
-            acc = fuzzy::And(db.options().variant, acc, d);
-          } else {
-            acc = fuzzy::Or(db.options().variant, acc, d);
-          }
-        }
-        list[e] = acc;
+        list[e] = scorer.Score(e);
       } catch (const std::exception&) {
         // Per-entity failure: degrade this entity one cascade stage, to
         // the text-retrieval score, rather than losing the whole list.
         ctx->degraded.store(true, std::memory_order_relaxed);
         OPINEDB_METRIC_COUNT("engine.fallback.entity", 1);
         try {
-          list[e] = db.TextFallbackDegree(condition.subjective, entity);
+          list[e] = db.TextFallbackDegree(condition.subjective,
+                                          static_cast<text::EntityId>(e));
         } catch (const std::exception&) {
           list[e] = 0.0;
         }
@@ -273,9 +187,6 @@ Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
     // unbounded path runs the exact pre-deadline loop.
     std::mutex ranges_mu;
     std::vector<std::pair<size_t, size_t>> done_ranges;
-    auto entity_at = [&](size_t i) {
-      return ctx->candidates_are_all ? i : ctx->candidates[i];
-    };
     auto score_range = [&](size_t begin, size_t end) {
       size_t i = begin;
       for (; i < end; ++i) {

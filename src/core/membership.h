@@ -44,7 +44,7 @@ Status ValidateFeatureVector(const std::vector<double>& features);
 /// similarity-weighted mass plus sentiment agreement, squashed, and
 /// discounted by the amount of supporting evidence. `features` is a
 /// MembershipFeatures vector of length kMembershipFeatureDim. Shared by
-/// the engine's row path and the columnar sweep so both produce the same
+/// ConditionScorer's columnar and row arms so both produce the same
 /// doubles from the same features.
 double HeuristicMembershipDegree(const double* features, size_t n);
 

@@ -196,6 +196,7 @@ ScaledFixture BuildScaledFixture(const ScaleSpec& spec) {
           .ok();
     }
   }
+  fixture.objective_table = table;
   Status table_status = db.SetObjectiveTable(std::move(table));
   (void)table_status;
 

@@ -9,6 +9,7 @@
 
 #include "core/engine.h"
 #include "datagen/domain_spec.h"
+#include "storage/table.h"
 
 namespace opinedb::datagen {
 
@@ -61,13 +62,15 @@ struct ScaledFixture {
   std::vector<std::string> subjective_predicates;
   /// Name of the installed objective table ("hotels").
   std::string table_name;
+  /// A copy of the rows installed under `table_name`, for reference
+  /// evaluators that check the engine from outside.
+  storage::Table objective_table;
 };
 
 /// Builds a deterministic fixture: same spec -> bit-identical engine
 /// state (summaries, objective rows, models). See ScaleSpec for the
-/// vocab-subcorpus construction. The returned engine has columnar mode
-/// per `engine_options()`-defaults (on) and an objective table with one
-/// row per entity.
+/// vocab-subcorpus construction. The returned engine has an objective
+/// table with one row per entity.
 ScaledFixture BuildScaledFixture(const ScaleSpec& spec);
 
 }  // namespace opinedb::datagen

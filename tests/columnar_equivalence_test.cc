@@ -1,14 +1,17 @@
-// Columnar-vs-row differential harness (docs/SCALING.md): the columnar
-// data plane is a pure layout change, so for randomized fixture queries
-// the engine must return bit-identical RankedResult lists — same
-// entities, same names, same raw doubles — with columnar on and off, at
-// 1 and 8 threads, with tracing off and full, on the hotel and
-// restaurant fixtures and on a generated scale fixture
-// (OPINEDB_SCALE_TEST_ENTITIES entities; CI runs the Release sweep at
-// 100k and the sanitizer sweeps at 20k). Also covers the ColumnarTable
+// Columnar-vs-row differential harness (docs/SCALING.md): the engine's
+// columnar scoring is a pure layout change, so for randomized fixture
+// queries it must return bit-identical RankedResult lists — same
+// entities, same names, same raw doubles — to a row reference executor
+// written here against the engine's public scoring primitives, at 1 and
+// 8 threads, with tracing off and full, with and without a warm degree
+// cache, on the hotel and restaurant fixtures and on a generated scale
+// fixture (OPINEDB_SCALE_TEST_ENTITIES entities; CI runs the Release
+// sweep at 100k and the sanitizer sweeps at 20k). Also covers the
+// use_markers = false ablation, a two-table catalog, the ColumnarTable
 // predicate sweep cell-by-cell against BoundColumnPredicate::Matches,
 // the InstallSummaries validation rules, and the runtime cache-shard
 // knobs. Built as its own binary labeled `scale`.
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -25,6 +28,8 @@
 #include "datagen/domain_spec.h"
 #include "datagen/scale.h"
 #include "eval/experiment.h"
+#include "fuzzy/logic.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/table.h"
 
@@ -52,38 +57,112 @@ void ExpectBitIdentical(const core::QueryResult& reference,
   }
 }
 
-/// Runs the full {columnar off/on} x {1, 8 threads} x {off, full trace}
-/// sweep for each query: the reference is the row path, serial, trace
-/// off; every other combination must match it bit-for-bit.
-void RunColumnarSweep(core::OpineDb& db,
-                      const std::vector<std::string>& queries) {
-  for (const auto& sql : queries) {
-    db.SetColumnar(false);
-    db.SetNumThreads(1);
-    db.SetTraceLevel(obs::TraceLevel::kOff);
-    auto reference = db.Execute(sql);
-    ASSERT_TRUE(reference.ok())
-        << sql << ": " << reference.status().ToString();
-    for (const bool columnar : {false, true}) {
-      for (const size_t threads : {1, 8}) {
-        for (const auto level :
-             {obs::TraceLevel::kOff, obs::TraceLevel::kFull}) {
-          SCOPED_TRACE(sql + " columnar=" + (columnar ? "on" : "off") +
-                       " threads=" + std::to_string(threads) + " trace=" +
-                       std::to_string(static_cast<int>(level)));
-          db.SetColumnar(columnar);
-          db.SetNumThreads(threads);
-          db.SetTraceLevel(level);
-          auto run = db.Execute(sql);
-          ASSERT_TRUE(run.ok()) << run.status().ToString();
-          ExpectBitIdentical(*reference, *run);
-        }
+/// Row reference executor: answers `sql` from the engine's public
+/// scoring primitives alone, sharing no operator, planner or scorer code
+/// with Execute. Objective conditions bind against `table` and evaluate
+/// with BoundColumnPredicate::Matches; each subjective condition is
+/// interpreted afresh and folds AtomDegreeOfTruth over its atoms per
+/// entity (or takes TextFallbackDegree). The WHERE tree combines per
+/// entity, scores <= 0 drop, and the rest rank by (score desc, entity
+/// asc) up to the limit.
+core::QueryResult RowReference(const core::OpineDb& db,
+                               const storage::Table& table,
+                               const std::string& sql) {
+  core::QueryResult out;
+  auto query = core::ParseSubjectiveSql(sql);
+  EXPECT_TRUE(query.ok()) << sql << ": " << query.status().ToString();
+  if (!query.ok()) return out;
+  EXPECT_EQ(query->table, table.name());
+  const size_t n = db.corpus().num_entities();
+  const fuzzy::Variant variant = db.options().variant;
+  std::vector<std::vector<double>> degrees(query->conditions.size(),
+                                           std::vector<double>(n, 0.0));
+  for (size_t c = 0; c < query->conditions.size(); ++c) {
+    const core::Condition& condition = query->conditions[c];
+    std::vector<double>& list = degrees[c];
+    if (condition.kind == core::Condition::Kind::kObjective) {
+      auto bound = condition.objective.Bind(table);
+      EXPECT_TRUE(bound.ok()) << sql;
+      if (!bound.ok()) return out;
+      for (size_t e = 0; e < n; ++e) {
+        list[e] = bound->Matches(table, e) ? 1.0 : 0.0;
+      }
+      continue;
+    }
+    const std::string& predicate = condition.subjective;
+    const core::PredicateInterpretation interpretation =
+        db.interpreter().Interpret(predicate);
+    const embedding::Vec rep = db.phrase_embedder().Represent(predicate);
+    const double senti = db.analyzer().ScorePhrase(predicate);
+    const auto& atoms = interpretation.atoms;
+    for (size_t e = 0; e < n; ++e) {
+      const auto entity = static_cast<text::EntityId>(e);
+      if (interpretation.method == core::InterpretMethod::kTextFallback ||
+          atoms.empty()) {
+        list[e] = db.TextFallbackDegree(predicate, entity);
+        continue;
+      }
+      for (size_t i = 0; i < atoms.size(); ++i) {
+        const double d = db.AtomDegreeOfTruth(atoms[i], entity, rep, senti);
+        list[e] = i == 0                     ? d
+                  : interpretation.conjunctive ? fuzzy::And(variant, list[e], d)
+                                               : fuzzy::Or(variant, list[e], d);
       }
     }
   }
-  db.SetColumnar(true);
+  for (size_t e = 0; e < n; ++e) {
+    const double score =
+        query->where == nullptr
+            ? 1.0
+            : query->where->Evaluate(
+                  variant, [&](size_t c) { return degrees[c][e]; });
+    if (score <= 0.0) continue;
+    core::RankedResult result;
+    result.entity = static_cast<text::EntityId>(e);
+    result.entity_name = db.corpus().entity_name(result.entity);
+    result.score = score;
+    out.results.push_back(std::move(result));
+  }
+  std::sort(out.results.begin(), out.results.end(),
+            [](const core::RankedResult& a, const core::RankedResult& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.entity < b.entity;
+            });
+  if (out.results.size() > query->limit) out.results.resize(query->limit);
+  return out;
+}
+
+/// Runs the {1, 8 threads} x {off, full trace} engine sweep for each
+/// query; every combination must match the row reference bit for bit.
+void RunColumnarSweep(core::OpineDb& db, const storage::Table& table,
+                      const std::vector<std::string>& queries) {
+  for (const auto& sql : queries) {
+    const core::QueryResult reference = RowReference(db, table, sql);
+    for (const size_t threads : {1, 8}) {
+      for (const auto level :
+           {obs::TraceLevel::kOff, obs::TraceLevel::kFull}) {
+        SCOPED_TRACE(sql + " threads=" + std::to_string(threads) +
+                     " trace=" + std::to_string(static_cast<int>(level)));
+        db.SetNumThreads(threads);
+        db.SetTraceLevel(level);
+        auto run = db.Execute(sql);
+        ASSERT_TRUE(run.ok()) << run.status().ToString();
+        ExpectBitIdentical(reference, *run);
+      }
+    }
+  }
   db.SetNumThreads(1);
   db.SetTraceLevel(obs::TraceLevel::kOff);
+}
+
+/// The same sweep over an attached degree cache: the first run of each
+/// predicate materializes its list, every later one is served warm.
+void RunWarmCacheSweep(core::OpineDb& db, const storage::Table& table,
+                       const std::vector<std::string>& queries) {
+  core::DegreeCache cache(&db);
+  db.AttachDegreeCache(&cache);
+  RunColumnarSweep(db, table, queries);
+  db.AttachDegreeCache(nullptr);
 }
 
 // ------------------------------------- Hotel / restaurant fixtures.
@@ -130,12 +209,40 @@ class ColumnarEquivalenceTest : public ::testing::TestWithParam<const char*> {
     return name == "hotel" ? *hotel_ : *restaurant_;
   }
 
+  /// The BuildOptions::seed each fixture was built with.
+  static uint64_t Seed(const std::string& name) {
+    return name == "hotel" ? 31 : 32;
+  }
+
+  static const char* TableName(const std::string& name) {
+    return name == "hotel" ? "hotels" : "restaurants";
+  }
+
+  /// A second objective table for the fixture's entities: one row per
+  /// entity, columns the first table does not have.
+  static storage::Table AnnexTable(const std::string& name) {
+    storage::Table table(std::string(TableName(name)) + "_annex",
+                         {{"stars", storage::ValueType::kInt},
+                          {"district", storage::ValueType::kString}});
+    const char* districts[] = {"north", "south", "harbour"};
+    Rng rng(Seed(name) + 100);
+    for (size_t e = 0; e < Fixture(name).db->corpus().num_entities(); ++e) {
+      EXPECT_TRUE(table
+                      .Append({storage::Value(static_cast<int64_t>(
+                                   1 + rng.Below(5))),
+                               storage::Value(std::string(
+                                   districts[rng.Below(3)]))})
+                      .ok());
+    }
+    return table;
+  }
+
   /// Deterministic randomized workload mixing subjective leaves,
   /// objective filters (every comparison op), boolean structure and
   /// limit boundaries.
   static std::vector<std::string> MakeQueries(const std::string& name) {
     const eval::DomainArtifacts& artifacts = Fixture(name);
-    const std::string table = name == "hotel" ? "hotels" : "restaurants";
+    const std::string table = TableName(name);
     std::vector<std::string> phrases;
     for (const auto& predicate : artifacts.pool) {
       if (phrases.size() >= 6) break;
@@ -193,31 +300,91 @@ eval::DomainArtifacts* ColumnarEquivalenceTest::hotel_ = nullptr;
 eval::DomainArtifacts* ColumnarEquivalenceTest::restaurant_ = nullptr;
 
 TEST_P(ColumnarEquivalenceTest, ColumnarBitIdenticalToRow) {
-  core::OpineDb& db = *Fixture(GetParam()).db;
-  RunColumnarSweep(db, MakeQueries(GetParam()));
+  eval::DomainArtifacts& artifacts = Fixture(GetParam());
+  RunColumnarSweep(*artifacts.db, artifacts.domain.objective_table,
+                   MakeQueries(GetParam()));
 }
 
 // The degree-cache list materialization also goes through the columnar
 // scorer; queries over a warm cache must stay bit-identical too.
 TEST_P(ColumnarEquivalenceTest, WarmDegreeCacheBitIdentical) {
-  core::OpineDb& db = *Fixture(GetParam()).db;
-  core::DegreeCache cache(&db);
-  db.AttachDegreeCache(&cache);
-  RunColumnarSweep(db, MakeQueries(GetParam()));
-  db.AttachDegreeCache(nullptr);
+  eval::DomainArtifacts& artifacts = Fixture(GetParam());
+  RunWarmCacheSweep(*artifacts.db, artifacts.domain.objective_table,
+                    MakeQueries(GetParam()));
 }
 
-TEST_P(ColumnarEquivalenceTest, SetColumnarTogglesStoreWithoutEpochBump) {
-  core::OpineDb& db = *Fixture(GetParam()).db;
-  db.SetColumnar(true);
-  EXPECT_NE(db.columnar_store(), nullptr);
-  const uint64_t epoch = db.cache_epoch();
-  db.SetColumnar(false);
-  EXPECT_EQ(db.columnar_store(), nullptr);
-  db.SetColumnar(true);
-  EXPECT_NE(db.columnar_store(), nullptr);
-  // Execution config, not a data mutation: cached results stay valid.
-  EXPECT_EQ(db.cache_epoch(), epoch);
+// The Table 7 ablation (use_markers = false) scores every atom through
+// the scorer's row arm — the no-marker featurization, never the columns
+// — and must still match the reference bit for bit.
+TEST_P(ColumnarEquivalenceTest, NoMarkerAblationMatchesRowReference) {
+  eval::DomainArtifacts& artifacts = Fixture(GetParam());
+  core::OpineDb& db = *artifacts.db;
+  const uint64_t seed = Seed(GetParam());
+  db.mutable_options()->use_markers = false;
+  ASSERT_TRUE(db.TrainMembership(eval::MakeMembershipTuples(
+                                     db, artifacts.domain, artifacts.pool,
+                                     500, /*use_markers=*/false, seed + 2),
+                                 seed + 3)
+                  .ok());
+
+  db.SetTraceLevel(obs::TraceLevel::kStats);
+  auto& registry = obs::MetricsRegistry::Global();
+  const auto* scans = registry.GetCounter("membership.scan_featurizations");
+  const auto* sweeps =
+      registry.GetCounter("membership.marker_featurizations");
+  const uint64_t scans_before = scans->Value();
+  const uint64_t sweeps_before = sweeps->Value();
+  const std::string sql = "select * from " +
+                          std::string(TableName(GetParam())) + " where \"" +
+                          artifacts.pool[0].text + "\" limit 10";
+  ASSERT_TRUE(db.Execute(sql).ok());
+  db.SetTraceLevel(obs::TraceLevel::kOff);
+  EXPECT_GT(scans->Value(), scans_before);
+  EXPECT_EQ(sweeps->Value(), sweeps_before);
+
+  RunColumnarSweep(db, artifacts.domain.objective_table,
+                   MakeQueries(GetParam()));
+  RunWarmCacheSweep(db, artifacts.domain.objective_table,
+                    MakeQueries(GetParam()));
+
+  // Restore the fixture's marker-mode engine exactly as BuildArtifacts
+  // left it.
+  db.mutable_options()->use_markers = true;
+  ASSERT_TRUE(db.TrainMembership(eval::MakeMembershipTuples(
+                                     db, artifacts.domain, artifacts.pool,
+                                     500, /*use_markers=*/true, seed + 2),
+                                 seed + 3)
+                  .ok());
+}
+
+// With a second table in the catalog, each table keeps its own column
+// mirror: a query on the first one, with a hard objective predicate and
+// a soft one (under OR), matches the reference; so does one on the
+// second table.
+TEST_P(ColumnarEquivalenceTest, SecondObjectiveTableKeepsItsOwnMirror) {
+  eval::DomainArtifacts& artifacts = Fixture(GetParam());
+  core::OpineDb& db = *artifacts.db;
+  const storage::Table annex = AnnexTable(GetParam());
+  const Status added = db.SetObjectiveTable(annex);
+  ASSERT_TRUE(added.ok() || added.code() == StatusCode::kAlreadyExists)
+      << added.ToString();
+
+  const std::string first = TableName(GetParam());
+  const std::string hard = GetParam() == std::string("hotel")
+                               ? "price_pn < 280"
+                               : "price_range <= 2";
+  std::vector<std::string> on_first;
+  std::vector<std::string> on_annex;
+  for (size_t i = 0; i < 3; ++i) {
+    const std::string phrase = "\"" + artifacts.pool[i].text + "\"";
+    on_first.push_back("select * from " + first + " where " + hard +
+                       " and (rating > 2.5 or " + phrase + ") limit 1000");
+    on_annex.push_back("select * from " + annex.name() +
+                       " where stars >= 3 and (district = 'north' or " +
+                       phrase + ") limit 1000");
+  }
+  RunColumnarSweep(db, artifacts.domain.objective_table, on_first);
+  RunColumnarSweep(db, annex, on_annex);
 }
 
 INSTANTIATE_TEST_SUITE_P(Domains, ColumnarEquivalenceTest,
@@ -258,7 +425,8 @@ TEST_F(ScaleFixtureTest, ColumnarBitIdenticalToRowAtScale) {
     queries.push_back("select * from " + fixture_->table_name + " where " +
                       where + " limit 10");
   }
-  RunColumnarSweep(db, queries);
+  RunColumnarSweep(db, fixture_->objective_table, queries);
+  RunWarmCacheSweep(db, fixture_->objective_table, queries);
 }
 
 TEST_F(ScaleFixtureTest, FixtureIsDeterministic) {
@@ -330,19 +498,16 @@ TEST(ColumnarTableTest, EvalMatchesRowPredicateEverywhere) {
         storage::ColumnPredicate predicate{column.name, op, literal};
         auto bound = predicate.Bind(table);
         ASSERT_TRUE(bound.ok());
-        auto compiled = columns.Compile(*bound);
-        ASSERT_TRUE(compiled.has_value())
-            << column.name << " " << storage::CompareOpSymbol(op) << " "
-            << literal.ToString();
+        const auto compiled = columns.Compile(*bound);
         ++compiled_predicates;
         std::vector<uint8_t> match(table.num_rows(), 1);
-        columns.FilterInto(*compiled, &match);
+        columns.FilterInto(compiled, &match);
         for (size_t row = 0; row < table.num_rows(); ++row) {
           const bool expected = bound->Matches(table, row);
           SCOPED_TRACE(column.name + " " +
                        storage::CompareOpSymbol(op) + " " +
                        literal.ToString() + " row " + std::to_string(row));
-          EXPECT_EQ(core::ColumnarTable::Eval(*compiled, row), expected);
+          EXPECT_EQ(core::ColumnarTable::Eval(compiled, row), expected);
           EXPECT_EQ(match[row] != 0, expected);
         }
       }
@@ -389,12 +554,12 @@ TEST(InstallSummariesTest, InstallBumpsEpochAndServesNewData) {
   }
   ASSERT_TRUE(db.InstallSummaries(std::move(summaries)).ok());
   EXPECT_GT(db.cache_epoch(), epoch);
-  // Queries still execute against the (now empty) summaries, row and
-  // columnar alike.
+  // Queries still execute against the (now empty) summaries, and still
+  // match the row reference.
   const std::string sql = "select * from " + fixture.table_name +
                           " where \"" + fixture.subjective_predicates[0] +
                           "\" limit 5";
-  RunColumnarSweep(db, {sql});
+  RunColumnarSweep(db, fixture.objective_table, {sql});
 }
 
 // Regression (silent-wipe bugfix): InstallSummaries clears the

@@ -179,10 +179,8 @@ TEST_F(IngestTest, AppendUpdatesOnlyTouchedEntityEpochs) {
   const int32_t entities = static_cast<int32_t>(db.corpus().num_entities());
   ASSERT_GE(entities, 3);
 
-  std::vector<uint64_t> before;
-  for (int32_t e = 0; e < entities; ++e) {
-    before.push_back(db.entity_data_epoch(e));
-  }
+  const std::vector<std::vector<core::MarkerSummary>> before =
+      db.tables().summaries;
   const uint64_t epoch_before = db.cache_epoch();
 
   text::Review review;
@@ -194,14 +192,35 @@ TEST_F(IngestTest, AppendUpdatesOnlyTouchedEntityEpochs) {
 
   EXPECT_EQ(db.cache_epoch(), epoch_before + 1)
       << "one batch bumps the global epoch exactly once";
-  for (int32_t e = 0; e < entities; ++e) {
-    if (e == 1) {
-      EXPECT_EQ(db.entity_data_epoch(e), epoch_before + 1);
-    } else {
-      EXPECT_EQ(db.entity_data_epoch(e), before[e])
-          << "entity " << e << " was not touched";
+  // The data itself: every untouched entity's marker summaries are
+  // unchanged field by field, and the touched entity's moved.
+  auto same = [](const core::MarkerSummary& a, const core::MarkerSummary& b) {
+    if (a.num_markers() != b.num_markers() ||
+        a.unmatched_count() != b.unmatched_count()) {
+      return false;
+    }
+    for (size_t m = 0; m < a.num_markers(); ++m) {
+      if (a.cell(m).count != b.cell(m).count ||
+          a.cell(m).mean_sentiment != b.cell(m).mean_sentiment ||
+          a.cell(m).centroid != b.cell(m).centroid) {
+        return false;
+      }
+    }
+    return true;
+  };
+  bool touched_changed = false;
+  for (size_t a = 0; a < before.size(); ++a) {
+    for (int32_t e = 0; e < entities; ++e) {
+      const bool unchanged = same(before[a][e], db.summary(a, e));
+      if (e == 1) {
+        touched_changed = touched_changed || !unchanged;
+      } else {
+        EXPECT_TRUE(unchanged)
+            << "attribute " << a << " entity " << e << " was not touched";
+      }
     }
   }
+  EXPECT_TRUE(touched_changed) << "entity 1's summaries did not change";
 }
 
 TEST_F(IngestTest, DegreeCacheStaysWarmForUntouchedPredicates) {
