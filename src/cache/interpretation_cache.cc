@@ -112,7 +112,7 @@ size_t InterpretationCache::size() const {
 }
 
 Status SaveInterpretationCache(const InterpretationCache& cache,
-                               std::ostream* out) {
+                               uint64_t epoch, std::ostream* out) {
   // Snapshot the entries under shard locks, then write sorted by key:
   // unordered_map iteration order is not stable across instances, and
   // the persistence suite pins save → open → save byte-identity.
@@ -120,7 +120,7 @@ Status SaveInterpretationCache(const InterpretationCache& cache,
   for (const auto& shard : cache.shards_) {
     std::shared_lock<std::shared_mutex> lock(shard.mu);
     for (const auto& [key, entry] : shard.map) {
-      entries.emplace_back(key, entry);
+      if (entry.epoch == epoch) entries.emplace_back(key, entry);
     }
   }
   std::sort(entries.begin(), entries.end(),

@@ -78,7 +78,7 @@ class InterpretationCache {
 
  private:
   friend Status SaveInterpretationCache(const InterpretationCache& cache,
-                                        std::ostream* out);
+                                        uint64_t epoch, std::ostream* out);
   friend Status LoadInterpretationCache(std::istream* in, uint64_t epoch,
                                         InterpretationCache* cache);
 
@@ -96,13 +96,15 @@ class InterpretationCache {
   mutable std::atomic<uint64_t> misses_{0};
 };
 
-/// Serializes the resident entries in a deterministic (key-sorted)
-/// line-oriented text format — the "interp_cache" snapshot section
-/// payload. Deterministic so save → open → save produces byte-identical
-/// sections. Doubles are written with max_digits10, so a reloaded entry
-/// is bit-exact.
+/// Serializes the resident entries tagged with `epoch` (the engine's
+/// current epoch; stale entries — e.g. one whose re-derivation after an
+/// ingest degraded — are left out, because the load re-tags every entry
+/// as fresh) in a deterministic (key-sorted) line-oriented text format —
+/// the "interp_cache" snapshot section payload. Deterministic so save →
+/// open → save produces byte-identical sections. Doubles are written
+/// with max_digits10, so a reloaded entry is bit-exact.
 Status SaveInterpretationCache(const InterpretationCache& cache,
-                               std::ostream* out);
+                               uint64_t epoch, std::ostream* out);
 
 /// Reads a payload written by SaveInterpretationCache into `cache`,
 /// tagging every entry with `epoch` (the engine's post-open epoch). On

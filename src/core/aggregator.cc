@@ -105,50 +105,14 @@ SubjectiveTables Aggregator::Build(
           &schema_->attributes[a].summary_type, embedder_->dim());
     }
   }
-  tables.extractions = std::move(extractions);
-  const size_t num_extractions = tables.extractions.size();
-  tables.extraction_attribute.assign(num_extractions, -1);
-  tables.extraction_marker.assign(num_extractions, -1);
-  tables.extraction_margin.assign(num_extractions, 0.0);
-
-  // Phase 1 (parallel): everything per-extraction and read-only — the
-  // review filter, attribute classification, marker matching and the
-  // phrase embedding. Each iteration writes only its own slots.
-  struct Prepared {
-    bool matched = false;
-    bool unmatched_in_domain = false;  // Classified but below threshold.
-    int best_marker = -1;
-    std::vector<double> weights;
-    embedding::Vec phrase_vec;
-  };
-  std::vector<Prepared> prepared(num_extractions);
+  const size_t num_extractions = extractions.size();
+  // Phase 1 (parallel): each iteration writes only its own slot.
+  std::vector<PreparedOpinion> prepared(num_extractions);
   auto prepare_range = [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      const auto& opinion = tables.extractions[i];
-      const auto& review = corpus.review(opinion.review);
-      if (!PassesFilter(review, corpus, options)) continue;
-      const auto [a, margin] =
-          classifier_->ClassifyWithMargin(opinion.aspect, opinion.opinion);
-      tables.extraction_attribute[i] = a;
-      tables.extraction_margin[i] = margin;
-      if (a < 0 || static_cast<size_t>(a) >= num_attrs) continue;
-      Prepared& prep = prepared[i];
-      prep.weights = MarkerWeights(a, opinion.phrase, options);
-      int best_marker = -1;
-      double best_weight = 0.0;
-      for (size_t m = 0; m < prep.weights.size(); ++m) {
-        if (prep.weights[m] > best_weight) {
-          best_weight = prep.weights[m];
-          best_marker = static_cast<int>(m);
-        }
-      }
-      if (best_marker < 0) {
-        prep.unmatched_in_domain = true;
-        continue;
-      }
-      prep.matched = true;
-      prep.best_marker = best_marker;
-      prep.phrase_vec = embedder_->Represent(opinion.phrase);
+      prepared[i] = Prepare(extractions[i],
+                            corpus.review(extractions[i].review), corpus,
+                            options);
     }
   };
   if (pool != nullptr) {
@@ -156,69 +120,60 @@ SubjectiveTables Aggregator::Build(
   } else {
     prepare_range(0, num_extractions);
   }
-
-  // Phase 2 (serial): fold onto the summaries in extraction order — the
-  // same mutation sequence as the serial build, hence bit-identical.
+  // Phase 2 (serial): fold in extraction order.
+  tables.extractions.reserve(num_extractions);
+  tables.extraction_attribute.reserve(num_extractions);
+  tables.extraction_marker.reserve(num_extractions);
+  tables.extraction_margin.reserve(num_extractions);
   for (size_t i = 0; i < num_extractions; ++i) {
-    const Prepared& prep = prepared[i];
-    const auto& opinion = tables.extractions[i];
-    const int a = tables.extraction_attribute[i];
-    if (prep.unmatched_in_domain) {
-      tables.summaries[a][opinion.entity].AddUnmatched();
-      continue;
-    }
-    if (!prep.matched) continue;
-    tables.extraction_marker[i] = prep.best_marker;
-    tables.summaries[a][opinion.entity].AddPhrase(
-        prep.weights, opinion.sentiment, prep.phrase_vec, opinion.review);
+    Fold(std::move(extractions[i]), std::move(prepared[i]), &tables);
   }
   return tables;
 }
 
-void Aggregator::AddOpinion(const extract::ExtractedOpinion& opinion,
-                            const text::ReviewCorpus& corpus,
-                            const AggregationOptions& options,
-                            SubjectiveTables* tables) const {
-  const auto& review = corpus.review(opinion.review);
-  tables->extractions.push_back(opinion);
-  if (!PassesFilter(review, corpus, options)) {
-    tables->extraction_attribute.push_back(-1);
-    tables->extraction_marker.push_back(-1);
-    tables->extraction_margin.push_back(0.0);
-    return;
-  }
+Aggregator::PreparedOpinion Aggregator::Prepare(
+    const extract::ExtractedOpinion& opinion, const text::Review& review,
+    const text::ReviewCorpus& corpus,
+    const AggregationOptions& options) const {
+  PreparedOpinion prep;
+  if (!PassesFilter(review, corpus, options)) return prep;
   const auto [a, margin] =
       classifier_->ClassifyWithMargin(opinion.aspect, opinion.opinion);
-  tables->extraction_attribute.push_back(a);
-  tables->extraction_margin.push_back(margin);
+  prep.attribute = a;
+  prep.margin = margin;
   if (a < 0 || static_cast<size_t>(a) >= schema_->num_attributes()) {
-    tables->extraction_marker.push_back(-1);
-    return;
+    return prep;
   }
-  // Entities appended to the corpus after Build() get summaries lazily.
-  auto& per_entity = tables->summaries[a];
-  while (per_entity.size() < corpus.num_entities()) {
-    per_entity.emplace_back(&schema_->attributes[a].summary_type,
-                            embedder_->dim());
-  }
-  const auto weights = MarkerWeights(a, opinion.phrase, options);
-  MarkerSummary& summary = per_entity[opinion.entity];
-  int best_marker = -1;
+  prep.weights = MarkerWeights(a, opinion.phrase, options);
   double best_weight = 0.0;
-  for (size_t m = 0; m < weights.size(); ++m) {
-    if (weights[m] > best_weight) {
-      best_weight = weights[m];
-      best_marker = static_cast<int>(m);
+  for (size_t m = 0; m < prep.weights.size(); ++m) {
+    if (prep.weights[m] > best_weight) {
+      best_weight = prep.weights[m];
+      prep.marker = static_cast<int>(m);
     }
   }
-  if (best_marker < 0) {
-    summary.AddUnmatched();
-    tables->extraction_marker.push_back(-1);
-    return;
+  if (prep.marker < 0) {
+    prep.unmatched = true;
+    return prep;
   }
-  tables->extraction_marker.push_back(best_marker);
-  summary.AddPhrase(weights, opinion.sentiment,
-                    embedder_->Represent(opinion.phrase), opinion.review);
+  prep.phrase_vec = embedder_->Represent(opinion.phrase);
+  return prep;
+}
+
+void Aggregator::Fold(extract::ExtractedOpinion opinion,
+                      PreparedOpinion prepared,
+                      SubjectiveTables* tables) const {
+  tables->extraction_attribute.push_back(prepared.attribute);
+  tables->extraction_marker.push_back(prepared.marker);
+  tables->extraction_margin.push_back(prepared.margin);
+  if (prepared.unmatched) {
+    tables->summaries[prepared.attribute][opinion.entity].AddUnmatched();
+  } else if (prepared.marker >= 0) {
+    tables->summaries[prepared.attribute][opinion.entity].AddPhrase(
+        prepared.weights, opinion.sentiment, prepared.phrase_vec,
+        opinion.review);
+  }
+  tables->extractions.push_back(std::move(opinion));
 }
 
 }  // namespace opinedb::core

@@ -59,23 +59,45 @@ class Aggregator {
              const embedding::PhraseEmbedder* embedder,
              const sentiment::Analyzer* analyzer);
 
-  /// Builds summaries for all entities of `corpus` from `extractions`.
-  /// With a pool, the per-extraction classification, marker matching and
-  /// phrase embedding fan out across workers; the summary fold stays
-  /// serial in extraction order, so the result is bit-identical to the
-  /// serial build.
+  /// The read-only half of folding one opinion: the review filter,
+  /// attribute classification, marker matching and the phrase
+  /// embedding. Computed from the frozen models only, so it may run
+  /// beside readers of the summaries; Fold applies it.
+  struct PreparedOpinion {
+    /// Classified attribute (-1 when filtered out or unclassified).
+    int attribute = -1;
+    double margin = 0.0;
+    /// Best marker (-1 when unmatched or not in a served attribute).
+    int marker = -1;
+    /// True when the attribute is served but no marker cleared the
+    /// match threshold (the phrase counts as unmatched).
+    bool unmatched = false;
+    std::vector<double> weights;
+    embedding::Vec phrase_vec;
+  };
+
+  /// Builds summaries for all entities of `corpus` from `extractions`:
+  /// Prepare for every extraction (fanned out across `pool` when given),
+  /// then Fold in extraction order — the same mutation sequence as a
+  /// serial build, hence bit-identical to it and to folding the same
+  /// extractions one by one on top of an empty build.
   SubjectiveTables Build(const text::ReviewCorpus& corpus,
                          std::vector<extract::ExtractedOpinion> extractions,
                          const AggregationOptions& options,
                          ThreadPool* pool = nullptr) const;
 
-  /// Incrementally folds one opinion into existing summaries
-  /// (Section 4.2.2: "the marker summaries can be incrementally
-  /// computed").
-  void AddOpinion(const extract::ExtractedOpinion& opinion,
-                  const text::ReviewCorpus& corpus,
-                  const AggregationOptions& options,
-                  SubjectiveTables* tables) const;
+  /// Prepares `opinion`, which was extracted from `review`. `corpus`
+  /// serves the reviewer filter only (min_reviewer_reviews).
+  PreparedOpinion Prepare(const extract::ExtractedOpinion& opinion,
+                          const text::Review& review,
+                          const text::ReviewCorpus& corpus,
+                          const AggregationOptions& options) const;
+
+  /// Appends `opinion` to the extraction relation and folds it into its
+  /// (attribute, entity) summary (Section 4.2.2: "the marker summaries
+  /// can be incrementally computed").
+  void Fold(extract::ExtractedOpinion opinion, PreparedOpinion prepared,
+            SubjectiveTables* tables) const;
 
   /// Marker weight vector for a phrase against attribute `a`'s markers:
   /// one-hot (or fractional) by embedding similarity; empty if below the

@@ -141,6 +141,18 @@ Status ReadOnlyError(const char* op) {
 
 }  // namespace
 
+struct OpineDb::PreparedBatch {
+  /// The batch's reviews, ids pre-assigned in append order.
+  std::vector<text::Review> reviews;
+  /// Per review, Build step 1's shifted document sentiment.
+  std::vector<double> sentiment;
+  /// Every extracted opinion, in review order, with its prepared fold.
+  std::vector<extract::ExtractedOpinion> opinions;
+  std::vector<Aggregator::PreparedOpinion> prepared;
+  /// Entities the batch touches, sorted and deduplicated.
+  std::vector<text::EntityId> touched;
+};
+
 OpineDb::~OpineDb() = default;
 
 std::unique_ptr<OpineDb> OpineDb::Build(
@@ -262,14 +274,8 @@ void OpineDb::RebuildDerivedState() {
   // Per-(attribute, entity) extraction lists (the no-marker scan path).
   extraction_lists_.assign(
       schema_.num_attributes(),
-      std::vector<std::vector<const extract::ExtractedOpinion*>>(
-          corpus_.num_entities()));
-  for (size_t i = 0; i < tables_.extractions.size(); ++i) {
-    const int a = tables_.extraction_attribute[i];
-    if (a < 0) continue;
-    const auto& opinion = tables_.extractions[i];
-    extraction_lists_[a][opinion.entity].push_back(&opinion);
-  }
+      std::vector<std::vector<size_t>>(corpus_.num_entities()));
+  AppendExtractionLists(0);
   interpreter_ = std::make_unique<Interpreter>(
       &schema_, &tables_, embedder_.get(), &review_index_,
       &review_sentiment_, options_.interpreter);
@@ -281,6 +287,14 @@ void OpineDb::RebuildDerivedState() {
       tables_, corpus_.num_entities(), pool_.get());
 }
 
+void OpineDb::AppendExtractionLists(size_t from) {
+  for (size_t i = from; i < tables_.extractions.size(); ++i) {
+    const int a = tables_.extraction_attribute[i];
+    if (a < 0) continue;
+    extraction_lists_[a][tables_.extractions[i].entity].push_back(i);
+  }
+}
+
 Status OpineDb::SetObjectiveTable(storage::Table table) {
   if (table.num_rows() != corpus_.num_entities()) {
     return Status::InvalidArgument(
@@ -288,6 +302,7 @@ Status OpineDb::SetObjectiveTable(storage::Table table) {
         std::to_string(corpus_.num_entities()) + " expected, got " +
         std::to_string(table.num_rows()) + ")");
   }
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
   const std::string name = table.name();
   Status status = catalog_.AddTable(std::move(table));
@@ -320,6 +335,7 @@ Status OpineDb::InstallSummaries(
           std::to_string(corpus_.num_entities()));
     }
   }
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
   if (read_only_) return ReadOnlyError("InstallSummaries");
   tables_.summaries = std::move(summaries);
@@ -345,6 +361,7 @@ Status OpineDb::TrainMembership(
                                      ": " + valid.message());
     }
   }
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
   if (read_only_) return ReadOnlyError("TrainMembership");
   membership_ = MembershipModel::Train(tuples, seed);
@@ -401,6 +418,7 @@ void OpineDb::ConfigureCaches(const cache::CacheConfig& config) {
 Status OpineDb::Reaggregate(const AggregationOptions& aggregation) {
   // Exclusive: in-flight queries hold reconfig_mu_ shared for their
   // whole run, so nothing reads tables_/interpreter_ mid-rebuild.
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
   if (read_only_) return ReadOnlyError("Reaggregate");
   if (!extractions_authoritative_) {
@@ -450,24 +468,30 @@ void OpineDb::AttachDegreeCache(DegreeCache* cache) {
 }
 
 Status OpineDb::SaveDatabase(const std::string& dir) const {
-  // Exclusive: the schema/summaries pair written below is a consistent
-  // cut — Reaggregate cannot swap tables_ between the two serializations
-  // and no query reads state mid-save.
-  std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   if (read_only_) return ReadOnlyError("SaveDatabase");
   if (wal_.has_value()) {
     // An out-of-band save advances snapshot_generation_ away from the
     // active segment's base: later appends would journal into a segment
-    // recovery no longer replays. Checkpoint() rotates the segment in
-    // the same critical section as the save.
+    // recovery no longer replays. Checkpoint() rotates the segment
+    // under the same writer-mutex hold as the save.
     return Status::FailedPrecondition(
         "SaveDatabase while a WAL is enabled would orphan the active "
         "segment; use Checkpoint()");
   }
-  return SaveDatabaseLocked(dir);
+  auto generation = CommitSnapshot(dir);
+  if (!generation.ok()) return generation.status();
+  std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
+  PublishGenerationLocked(*generation);
+  return Status::OK();
 }
 
-Status OpineDb::SaveDatabaseLocked(const std::string& dir) const {
+Result<uint64_t> OpineDb::CommitSnapshot(const std::string& dir) const {
+  // write_mu_ (held by the caller) keeps every writer out, so the
+  // schema/summaries pair below is a consistent cut; the shared lock
+  // only keeps ConfigureCaches from swapping interp_cache_ mid-save.
+  // Queries run throughout.
+  std::shared_lock<std::shared_mutex> lock(reconfig_mu_);
   Timer timer;
   std::ostringstream schema_bytes;
   Status status = SaveSchema(schema_, &schema_bytes);
@@ -484,10 +508,14 @@ Status OpineDb::SaveDatabaseLocked(const std::string& dir) const {
   // A warm interpretation cache rides along so a reopened database
   // serves warm (docs/CACHING.md). Derived data: older snapshots
   // without the section (and engines without the layer) stay valid,
-  // and OpenDatabase treats a corrupt section as a cold open.
+  // and OpenDatabase treats a corrupt section as a cold open. Only
+  // current-epoch entries are saved: the open re-tags every loaded
+  // entry with its fresh epoch, so a stale one would come back valid.
   if (interp_cache_ != nullptr && interp_cache_->size() > 0) {
     std::ostringstream interp_bytes;
-    status = cache::SaveInterpretationCache(*interp_cache_, &interp_bytes);
+    status = cache::SaveInterpretationCache(
+        *interp_cache_, cache_epoch_.load(std::memory_order_relaxed),
+        &interp_bytes);
     if (!status.ok()) return status;
     storage::SnapshotSection interp_section;
     interp_section.name = kInterpCacheSection;
@@ -500,16 +528,20 @@ Status OpineDb::SaveDatabaseLocked(const std::string& dir) const {
     OPINEDB_METRIC_COUNT("storage.snapshot.save_failures", 1);
     return generation.status();
   }
-  snapshot_generation_.store(*generation, std::memory_order_relaxed);
   OPINEDB_METRIC_COUNT("storage.snapshot.saves", 1);
-  OPINEDB_METRIC_GAUGE_SET("storage.snapshot.generation",
-                           static_cast<double>(*generation));
   OPINEDB_METRIC_LATENCY_MS("storage.snapshot.save_ms",
                             timer.ElapsedMillis());
-  return Status::OK();
+  return *generation;
+}
+
+void OpineDb::PublishGenerationLocked(uint64_t generation) const {
+  snapshot_generation_.store(generation, std::memory_order_relaxed);
+  OPINEDB_METRIC_GAUGE_SET("storage.snapshot.generation",
+                           static_cast<double>(generation));
 }
 
 Status OpineDb::OpenDatabase(const std::string& dir) {
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   Timer timer;
   storage::SnapshotStore store(dir);
   auto snapshot = store.Recover();
@@ -603,17 +635,12 @@ Status OpineDb::OpenDatabase(const std::string& dir) {
 }
 
 Status OpineDb::AppendReviews(const std::vector<text::Review>& reviews) {
-  // Exclusive for the whole batch: queries observe either none or all
-  // of it, and the derived-state patches below need the same exclusion
-  // as a rebuild.
-  std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   if (read_only_) return ReadOnlyError("AppendReviews");
-  return ApplyReviewsLocked(reviews, /*journal=*/true);
+  return ApplyReviews(reviews, /*journal=*/true);
 }
 
-Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
-                                   bool journal) {
-  if (reviews.empty()) return Status::OK();
+Status OpineDb::ValidateBatch(const std::vector<text::Review>& reviews) const {
   if (!pipeline_.has_value()) {
     return Status::FailedPrecondition(
         "AppendReviews requires the extraction pipeline retained by "
@@ -638,76 +665,58 @@ Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
           std::to_string(corpus_.num_entities()));
     }
   }
+  return Status::OK();
+}
 
-  obs::TraceSpan span("ingest.append");
-  Timer timer;
-
-  // Journal first: once Append returns OK the batch is fsync-durable,
-  // and only then does any in-memory state change. An error here means
-  // nothing was applied — the caller can retry the whole batch.
-  if (journal && wal_.has_value()) {
-    Timer wal_timer;
-    Status appended = wal_->Append(EncodeReviewBatch(reviews));
-    if (!appended.ok()) return appended;
-    OPINEDB_METRIC_LATENCY_MS("storage.wal.append_ms",
-                              wal_timer.ElapsedMillis());
-  }
-
-  // Fold the delta. AddOpinion replays Build's per-extraction loop body
-  // against the live summaries, so appending in order is bit-identical
-  // to a full rebuild over the extended corpus (the models it consults
-  // — classifier, embedder, analyzer, review-index idf — are frozen).
-  const extract::ExtractedOpinion* old_data = tables_.extractions.data();
-  const size_t old_size = tables_.extractions.size();
-  std::vector<text::EntityId> touched;
-  touched.reserve(reviews.size());
-  size_t num_opinions = 0;
-  for (const auto& review : reviews) {
-    const text::ReviewId id = corpus_.AddReview(
-        review.entity, review.reviewer, review.date, review.body);
-    const text::Review& stored =
-        corpus_.reviews()[static_cast<size_t>(id)];
-    // Same shift as Build step 1 — the scoring paths index this vector
-    // by review id.
-    review_sentiment_.push_back(
-        std::max(0.0, analyzer_.ScoreDocument(stored.body)) + 0.05);
-    for (const auto& opinion : pipeline_->ExtractFromReview(stored)) {
-      aggregator_->AddOpinion(opinion, corpus_, options_.aggregation,
-                              &tables_);
-      ++num_opinions;
+OpineDb::PreparedBatch OpineDb::PrepareBatch(
+    const std::vector<text::Review>& reviews) const {
+  PreparedBatch batch;
+  batch.reviews = reviews;
+  // Ids are what the corpus will assign on append: batches are ordered
+  // by write_mu_, so nothing else can append in between.
+  const size_t first_id = corpus_.num_reviews();
+  for (size_t i = 0; i < batch.reviews.size(); ++i) {
+    text::Review& review = batch.reviews[i];
+    review.id = static_cast<text::ReviewId>(first_id + i);
+    // Same shift as Build step 1 — the scoring paths index
+    // review_sentiment_ by review id.
+    batch.sentiment.push_back(
+        std::max(0.0, analyzer_.ScoreDocument(review.body)) + 0.05);
+    for (auto& opinion : pipeline_->ExtractFromReview(review)) {
+      batch.prepared.push_back(aggregator_->Prepare(
+          opinion, review, corpus_, options_.aggregation));
+      batch.opinions.push_back(std::move(opinion));
     }
-    touched.push_back(review.entity);
+    batch.touched.push_back(review.entity);
   }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()),
-                touched.end());
+  std::sort(batch.touched.begin(), batch.touched.end());
+  batch.touched.erase(
+      std::unique(batch.touched.begin(), batch.touched.end()),
+      batch.touched.end());
+  return batch;
+}
 
+void OpineDb::FoldBatchLocked(PreparedBatch batch) {
+  for (size_t i = 0; i < batch.reviews.size(); ++i) {
+    text::Review& review = batch.reviews[i];
+    corpus_.AddReview(review.entity, review.reviewer, review.date,
+                      std::move(review.body));
+    review_sentiment_.push_back(batch.sentiment[i]);
+  }
+  // Fold the delta. Aggregator::Fold is exactly Build's per-extraction
+  // fold, so appending in order is bit-identical to a full rebuild over
+  // the extended corpus (the models Prepare consulted — classifier,
+  // embedder, analyzer, review-index idf — are frozen).
+  const size_t old_size = tables_.extractions.size();
+  for (size_t i = 0; i < batch.opinions.size(); ++i) {
+    aggregator_->Fold(std::move(batch.opinions[i]),
+                      std::move(batch.prepared[i]), &tables_);
+  }
   // Patch the derived state in place (a full RebuildDerivedState here
   // would defeat the point of the delta path).
-  if (tables_.extractions.data() == old_data) {
-    // The vector did not reallocate: every stored pointer is intact,
-    // only the new rows need list entries.
-    for (size_t i = old_size; i < tables_.extractions.size(); ++i) {
-      const int a = tables_.extraction_attribute[i];
-      if (a < 0) continue;
-      const auto& opinion = tables_.extractions[i];
-      extraction_lists_[a][opinion.entity].push_back(&opinion);
-    }
-  } else {
-    // Reallocation moved the rows; every pointer in every list dangles.
-    extraction_lists_.assign(
-        schema_.num_attributes(),
-        std::vector<std::vector<const extract::ExtractedOpinion*>>(
-            corpus_.num_entities()));
-    for (size_t i = 0; i < tables_.extractions.size(); ++i) {
-      const int a = tables_.extraction_attribute[i];
-      if (a < 0) continue;
-      const auto& opinion = tables_.extractions[i];
-      extraction_lists_[a][opinion.entity].push_back(&opinion);
-    }
-  }
+  AppendExtractionLists(old_size);
   interpreter_->AppendNewExtractions();
-  columnar_->UpdateEntities(tables_, touched);
+  columnar_->UpdateEntities(tables_, batch.touched);
 
   // Surgical cache maintenance — the whole reason ingest is not a
   // Reaggregate. One epoch bump expires result-cache entries lazily (a
@@ -739,22 +748,57 @@ Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
   if (degree_cache_ != nullptr) {
     // In-place refresh: untouched entities' slots (the warm working
     // set) survive; only touched slots are rescored.
-    degree_cache_->RefreshAfterIngest(touched);
+    degree_cache_->RefreshAfterIngest(batch.touched);
+  }
+  OPINEDB_METRIC_GAUGE_SET("engine.cache.epoch",
+                           static_cast<double>(epoch));
+}
+
+Status OpineDb::ApplyReviews(const std::vector<text::Review>& reviews,
+                             bool journal) {
+  if (reviews.empty()) return Status::OK();
+  obs::TraceSpan span("ingest.append");
+  Timer timer;
+  PreparedBatch batch;
+  {
+    // Shared: write_mu_ already keeps every other writer out, so the
+    // frozen models, the corpus size and the journal cannot move, and
+    // queries keep running through extraction and the fsync.
+    std::shared_lock<std::shared_mutex> lock(reconfig_mu_);
+    Status valid = ValidateBatch(reviews);
+    if (!valid.ok()) return valid;
+    batch = PrepareBatch(reviews);
+    // Journal before any state changes: once Append returns OK the
+    // batch is fsync-durable. An error here means nothing was applied —
+    // the caller can retry the whole batch.
+    if (journal && wal_.has_value()) {
+      Timer wal_timer;
+      Status appended = wal_->Append(EncodeReviewBatch(reviews));
+      if (!appended.ok()) return appended;
+      OPINEDB_METRIC_LATENCY_MS("storage.wal.append_ms",
+                                wal_timer.ElapsedMillis());
+    }
+  }
+  const size_t num_opinions = batch.opinions.size();
+  const size_t num_touched = batch.touched.size();
+  {
+    std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
+    Timer exclusive;
+    FoldBatchLocked(std::move(batch));
+    OPINEDB_METRIC_LATENCY_MS("engine.ingest.exclusive_ms",
+                              exclusive.ElapsedMillis());
   }
 
   span.AddAttribute("reviews", static_cast<uint64_t>(reviews.size()));
   span.AddAttribute("opinions", static_cast<uint64_t>(num_opinions));
-  span.AddAttribute("entities_touched",
-                    static_cast<uint64_t>(touched.size()));
+  span.AddAttribute("entities_touched", static_cast<uint64_t>(num_touched));
   span.AddAttribute("replay", !journal);
   OPINEDB_METRIC_COUNT("engine.ingest.batches", 1);
   OPINEDB_METRIC_COUNT("engine.ingest.reviews", reviews.size());
   OPINEDB_METRIC_COUNT("engine.ingest.opinions", num_opinions);
-  OPINEDB_METRIC_COUNT("engine.ingest.entities_touched", touched.size());
+  OPINEDB_METRIC_COUNT("engine.ingest.entities_touched", num_touched);
   OPINEDB_METRIC_LATENCY_MS("engine.ingest.apply_ms",
                             timer.ElapsedMillis());
-  OPINEDB_METRIC_GAUGE_SET("engine.cache.epoch",
-                           static_cast<double>(epoch));
   return Status::OK();
 }
 
@@ -779,6 +823,7 @@ std::string OpineDb::wal_dir() const {
 }
 
 void OpineDb::SetReadOnly(bool read_only) {
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
   read_only_ = read_only;
   OPINEDB_METRIC_GAUGE_SET("repl.read_only", read_only ? 1.0 : 0.0);
@@ -790,6 +835,7 @@ bool OpineDb::read_only() const {
 }
 
 Status OpineDb::Promote() {
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
   if (!read_only_) {
     return Status::FailedPrecondition(
@@ -804,9 +850,9 @@ Status OpineDb::Promote() {
   if (OPINEDB_FAULT_HIT("repl.promote")) {
     return Status::Internal("injected fault at repl.promote");
   }
-  // Nothing to replay: ApplyReplicatedRecord applies each record in the
-  // same critical section that journals it, and EnableWal replayed the
-  // durable tail at startup — the in-memory state already equals the
+  // Nothing to replay: ApplyReplicatedRecord applies each record under
+  // the same writer-mutex hold that journals it, and EnableWal replayed
+  // the durable tail at startup — the in-memory state already equals the
   // verified WAL. Flipping the flag is the whole promotion.
   read_only_ = false;
   OPINEDB_METRIC_COUNT("repl.promotions", 1);
@@ -815,7 +861,7 @@ Status OpineDb::Promote() {
 }
 
 Result<size_t> OpineDb::ApplyReplicatedRecord(const std::string& payload) {
-  std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   if (!read_only_) {
     return Status::FailedPrecondition(
         "ApplyReplicatedRecord: engine is not in follower mode "
@@ -833,14 +879,14 @@ Result<size_t> OpineDb::ApplyReplicatedRecord(const std::string& payload) {
   // EncodeReviewBatch(DecodeReviewBatch(p)) == p, so the bytes appended
   // here equal the shipped payload and the follower's segment stays
   // byte-identical to the primary's at every acknowledged offset.
-  Status applied = ApplyReviewsLocked(*batch, /*journal=*/true);
+  Status applied = ApplyReviews(*batch, /*journal=*/true);
   if (!applied.ok()) return applied;
   OPINEDB_METRIC_COUNT("repl.records_applied", 1);
   return batch->size();
 }
 
 Status OpineDb::EnableWal(const std::string& dir) {
-  std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -872,7 +918,7 @@ Status OpineDb::EnableWal(const std::string& dir) {
     for (const auto& record : tail->records) {
       auto batch = DecodeReviewBatch(record);
       if (!batch.ok()) return batch.status();
-      Status applied = ApplyReviewsLocked(*batch, /*journal=*/false);
+      Status applied = ApplyReviews(*batch, /*journal=*/false);
       if (!applied.ok()) return applied;
       ++replayed;
     }
@@ -882,6 +928,7 @@ Status OpineDb::EnableWal(const std::string& dir) {
 
   auto writer = storage::WalWriter::Open(path, base);
   if (!writer.ok()) return writer.status();
+  std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
   wal_ = std::move(*writer);
   wal_dir_ = dir;
   if (replayed > 0) {
@@ -893,10 +940,7 @@ Status OpineDb::EnableWal(const std::string& dir) {
 }
 
 Status OpineDb::Checkpoint() {
-  // One exclusive critical section across save + rotation: no append
-  // can slip between the snapshot commit and the segment swap, so the
-  // new segment is empty exactly when the new generation is complete.
-  std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   if (read_only_) {
     // A follower rotating its segment out of step with the primary
     // would break generation lockstep; the replication client calls
@@ -910,7 +954,7 @@ Status OpineDb::Checkpoint() {
 }
 
 Status OpineDb::ReplicaCheckpoint() {
-  std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   if (!read_only_) {
     return Status::FailedPrecondition(
         "ReplicaCheckpoint is the follower-side rotation; primaries "
@@ -925,8 +969,11 @@ Status OpineDb::ReplicaCheckpoint() {
 
 Status OpineDb::CheckpointLocked() {
   Timer timer;
-  Status saved = SaveDatabaseLocked(wal_dir_);
-  if (!saved.ok()) return saved;
+  // write_mu_ keeps appends out from the save to the rotation, so the
+  // new generation holds exactly the journaled batches and the new
+  // segment starts empty. The save runs beside queries.
+  auto generation = CommitSnapshot(wal_dir_);
+  if (!generation.ok()) return generation.status();
   // The committed generation contains every journaled batch (they were
   // applied to the live state before acknowledgement), so the old
   // segment is redundant from here on.
@@ -935,12 +982,31 @@ Status OpineDb::CheckpointLocked() {
     // the stale segment stays on disk — recovery ignores it (its base
     // is older than the newest generation) — and journaling stops,
     // exactly as if the process had died here.
+    std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
+    PublishGenerationLocked(*generation);
     wal_.reset();
     return Status::Internal("injected crash at storage.wal_fold");
   }
-  wal_->Close();
-  const uint64_t generation =
-      snapshot_generation_.load(std::memory_order_relaxed);
+  // Create the successor segment before going exclusive: nothing names
+  // the new generation until it is published below.
+  auto writer = storage::WalWriter::Open(
+      wal_dir_ + "/" + storage::WalFileName(*generation), *generation);
+  {
+    // Publish and rotate in one exclusive section, so a reader that sees
+    // the new generation (the replication source pairs it with
+    // wal_acknowledged_bytes()) also sees its segment.
+    std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
+    Timer exclusive;
+    PublishGenerationLocked(*generation);
+    if (writer.ok()) {
+      wal_ = std::move(*writer);  // Closes the folded segment.
+    } else {
+      wal_.reset();
+    }
+    OPINEDB_METRIC_LATENCY_MS("storage.wal.checkpoint_exclusive_ms",
+                              exclusive.ElapsedMillis());
+  }
+  if (!writer.ok()) return writer.status();
   std::error_code ec;
   for (const auto& entry :
        std::filesystem::directory_iterator(wal_dir_, ec)) {
@@ -949,7 +1015,7 @@ Status OpineDb::CheckpointLocked() {
                                    &segment_base)) {
       continue;
     }
-    if (segment_base != generation && !pins_.IsPinned(segment_base)) {
+    if (segment_base != *generation && !pins_.IsPinned(segment_base)) {
       // A pinned segment is one a lagging follower is actively pulling;
       // retiring it mid-pull would force a needless snapshot catch-up.
       // The pin expires with the follower's session and the next
@@ -958,13 +1024,6 @@ Status OpineDb::CheckpointLocked() {
       std::filesystem::remove(entry.path(), remove_ec);
     }
   }
-  auto writer = storage::WalWriter::Open(
-      wal_dir_ + "/" + storage::WalFileName(generation), generation);
-  if (!writer.ok()) {
-    wal_.reset();
-    return writer.status();
-  }
-  wal_ = std::move(*writer);
   OPINEDB_METRIC_COUNT("storage.wal.checkpoints", 1);
   OPINEDB_METRIC_LATENCY_MS("storage.wal.checkpoint_ms",
                             timer.ElapsedMillis());
@@ -983,8 +1042,8 @@ double OpineDb::AtomDegreeOfTruth(const AtomInterpretation& atom,
         query_sentiment);
   } else {
     features = MembershipFeaturesNoMarkers(
-        extraction_lists_[atom.attribute][entity], *embedder_, query_rep,
-        query_sentiment);
+        tables_.extractions, extraction_lists_[atom.attribute][entity],
+        *embedder_, query_rep, query_sentiment);
   }
   const double d = membership_.has_value()
                        ? membership_->DegreeOfTruth(features)

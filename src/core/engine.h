@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
@@ -245,10 +246,10 @@ class OpineDb {
   /// Incremental ingest (Section 4.2.2: "the marker summaries can be
   /// incrementally computed"): appends `reviews` to the corpus, runs the
   /// extraction pipeline on just the new reviews, and folds each new
-  /// opinion into the existing marker summaries with
-  /// Aggregator::AddOpinion — bit-identical to rebuilding from the full
-  /// extended extraction relation, because the per-opinion fold is
-  /// exactly Build's loop body and the models it consults (classifier,
+  /// opinion into the existing marker summaries with Aggregator::
+  /// Prepare + Fold — bit-identical to rebuilding from the full
+  /// extended extraction relation, because Build runs the same two
+  /// steps per extraction and the models they consult (classifier,
   /// embedder, analyzer, the idf from the frozen review index) are not
   /// retrained by ingest. Review `id` fields are ignored; ids are
   /// assigned by the corpus in append order.
@@ -267,8 +268,13 @@ class OpineDb {
   /// when AggregationOptions::min_reviewer_reviews is set (that filter
   /// is retroactive: a reviewer's old reviews may cross the threshold
   /// mid-append, which an additive fold cannot express) and with
-  /// InvalidArgument for out-of-range entity ids. Serialized against
-  /// in-flight queries by the reconfiguration lock.
+  /// InvalidArgument for out-of-range entity ids.
+  ///
+  /// Batches are serialized by the writer mutex. Validation, extraction
+  /// (frozen models only) and the journal append + fsync run under the
+  /// shared reconfiguration lock, beside queries; only the fold and
+  /// publish take it exclusively, so queries see none or all of a
+  /// batch and never wait on its fsync or extraction.
   Status AppendReviews(const std::vector<text::Review>& reviews);
 
   /// Enables write-ahead journaling of AppendReviews batches into `dir`
@@ -285,10 +291,13 @@ class OpineDb {
 
   /// Folds the WAL into a new snapshot generation: saves the current
   /// state (which already contains every journaled batch) to the WAL
-  /// directory, retires the folded segments, and starts a fresh empty
-  /// segment named after the new generation. Holds one exclusive lock
-  /// across the whole fold, so no append can slip between the save and
-  /// the rotation. Requires EnableWal. See docs/PERSISTENCE.md.
+  /// directory, starts a fresh empty segment named after the new
+  /// generation, and retires the folded segments. The writer mutex is
+  /// held throughout, so no append can slip between the save and the
+  /// rotation; the save itself runs under the shared reconfiguration
+  /// lock beside queries, and only publishing the generation and
+  /// swapping the segment take it exclusively. Requires EnableWal. See
+  /// docs/PERSISTENCE.md.
   Status Checkpoint();
 
   /// True when EnableWal succeeded and the journal is accepting appends.
@@ -325,17 +334,18 @@ class OpineDb {
   /// Failover: turns a read-only follower into a write-accepting
   /// primary. Requires a healthy WAL (the new primary must be able to
   /// journal). No replay is needed here by construction — a follower
-  /// applies every record in the same critical section that journals
-  /// it, so at promote time the in-memory state already contains the
-  /// entire verified WAL (EnableWal replayed the durable tail at
-  /// startup). Fault site repl.promote fires before the flag flips: a
+  /// applies every record under the same writer-mutex hold that
+  /// journals it, so at promote time the in-memory state already
+  /// contains the entire verified WAL (EnableWal replayed the durable
+  /// tail at startup). Fault site repl.promote fires before the flag flips: a
   /// failed promote leaves a consistent follower.
   Status Promote();
 
   /// Follower apply path: decodes one shipped WAL record (an
   /// EncodeReviewBatch payload), journals it to the follower's own WAL
-  /// and folds it through the exact live-ingest path, in one exclusive
-  /// critical section. Because batch encoding is deterministic
+  /// and folds it through the exact live-ingest path (AppendReviews'
+  /// locking included), under one hold of the writer mutex. Because
+  /// batch encoding is deterministic
   /// (Encode(Decode(p)) == p), the follower's segment ends up
   /// byte-identical to the primary's at every acknowledged offset.
   /// Allowed only in read-only mode with a healthy WAL. Returns the
@@ -417,12 +427,12 @@ class OpineDb {
   /// the extraction relation is re-derivable and is not saved — as a new
   /// checksummed snapshot generation in directory `dir` (created if
   /// needed) via storage::SnapshotStore's atomic commit protocol. Holds
-  /// the reconfiguration lock exclusively, so the saved pair is a
-  /// consistent cut that serializes against Reaggregate and in-flight
-  /// queries. While a WAL is enabled this returns FailedPrecondition —
+  /// the writer mutex, so the saved pair is a consistent cut, and
+  /// serializes under the shared reconfiguration lock, so queries keep
+  /// running. While a WAL is enabled this returns FailedPrecondition —
   /// an out-of-band save would advance the generation away from the
   /// active segment and orphan later appends; use Checkpoint(), which
-  /// rotates the segment in the same critical section. See
+  /// rotates the segment under the same writer-mutex hold. See
   /// docs/PERSISTENCE.md.
   Status SaveDatabase(const std::string& dir) const;
 
@@ -477,9 +487,10 @@ class OpineDb {
   /// The trained membership model (requires has_membership_model()).
   const MembershipModel& membership_model() const { return *membership_; }
 
-  /// Extracted phrases of (attribute, entity) — the no-marker scan path.
-  const std::vector<const extract::ExtractedOpinion*>& PhrasesOf(
-      size_t attribute, text::EntityId entity) const {
+  /// Extracted phrases of (attribute, entity) — the no-marker scan
+  /// path — as indices into tables().extractions.
+  const std::vector<size_t>& PhrasesOf(size_t attribute,
+                                       text::EntityId entity) const {
     return extraction_lists_[attribute][entity];
   }
 
@@ -514,27 +525,43 @@ class OpineDb {
  private:
   OpineDb() = default;
 
+  /// One review batch extracted against the frozen models, ready to
+  /// fold (defined in engine.cc).
+  struct PreparedBatch;
+
   void RebuildDerivedState();
+  /// Adds tables_.extractions[from..] to extraction_lists_ — the one
+  /// loop behind both a rebuild (from 0) and an ingest fold.
+  void AppendExtractionLists(size_t from);
   /// The single wholesale epoch-bump point: advances cache_epoch_ once
   /// and clears every cache layer (result, interpretation, attached
   /// degree cache). Requires reconfig_mu_
   /// held exclusively. AppendReviews deliberately does NOT route through
   /// here — it bumps the epoch but keeps caches warm (see its doc).
   void InvalidateCachesLocked();
-  /// SaveDatabase body without the lock acquisition; Checkpoint calls it
-  /// inside its own exclusive critical section.
-  Status SaveDatabaseLocked(const std::string& dir) const;
-  /// Checkpoint body without the lock acquisition or role check, shared
-  /// by Checkpoint (primary) and ReplicaCheckpoint (follower). Requires
-  /// reconfig_mu_ held exclusively and wal_ engaged.
+  /// Serializes schema, summaries and the current-epoch interpretation
+  /// cache under the shared lock and commits them as a new generation
+  /// in `dir`; returns it unpublished. Requires write_mu_.
+  Result<uint64_t> CommitSnapshot(const std::string& dir) const;
+  /// Makes `generation` the served snapshot generation. Requires
+  /// reconfig_mu_ held exclusively.
+  void PublishGenerationLocked(uint64_t generation) const;
+  /// Checkpoint body shared by Checkpoint (primary) and
+  /// ReplicaCheckpoint (follower). Requires write_mu_ and wal_ engaged.
   Status CheckpointLocked();
   /// The single apply path for new review batches, shared verbatim by
-  /// live ingest (journal = the open WAL writer) and EnableWal replay
-  /// (journal = nothing — the records are already durable). Requires
-  /// reconfig_mu_ held exclusively. Validates, optionally journals, then
-  /// extracts / folds / patches derived state and refreshes caches.
-  Status ApplyReviewsLocked(const std::vector<text::Review>& reviews,
-                            bool journal);
+  /// live ingest (journal = true: the open WAL writer, if any) and
+  /// EnableWal replay (journal = false: the records are already
+  /// durable). Requires write_mu_ and not reconfig_mu_: validates,
+  /// extracts and journals under the shared lock, then folds under the
+  /// exclusive lock.
+  Status ApplyReviews(const std::vector<text::Review>& reviews,
+                      bool journal);
+  /// The ingest stages ApplyReviews runs. ValidateBatch and
+  /// PrepareBatch need the shared lock, FoldBatchLocked the exclusive.
+  Status ValidateBatch(const std::vector<text::Review>& reviews) const;
+  PreparedBatch PrepareBatch(const std::vector<text::Review>& reviews) const;
+  void FoldBatchLocked(PreparedBatch batch);
 
   text::ReviewCorpus corpus_;
   SubjectiveSchema schema_;
@@ -578,9 +605,10 @@ class OpineDb {
   /// exclusive lock, so a query never observes a torn epoch/state pair.
   std::atomic<uint64_t> cache_epoch_{0};
   /// Snapshot generation last saved/loaded; see snapshot_generation().
-  /// Atomic so queries (shared lock) can read it while SaveDatabase
-  /// (exclusive lock) is the writer; mutable because SaveDatabase is
-  /// logically const.
+  /// Atomic so lock-free readers (the replication source) see a whole
+  /// value; published only under the exclusive lock, in the same
+  /// critical section that swaps in the segment named after it. Mutable
+  /// because SaveDatabase is logically const.
   mutable std::atomic<uint64_t> snapshot_generation_{0};
   /// True while tables_.extractions (plus what AppendReviews added) is
   /// the authoritative derivation of tables_.summaries — the
@@ -588,27 +616,43 @@ class OpineDb {
   /// on. Set by Build; cleared by InstallSummaries and OpenDatabase.
   bool extractions_authoritative_ = false;
   /// Write-ahead journal state (EnableWal/Checkpoint); wal_ is engaged
-  /// exactly while journaling is active. Guarded by reconfig_mu_.
+  /// exactly while journaling is active. Engaged, reset and swapped
+  /// under write_mu_ plus reconfig_mu_ exclusively; appended to under
+  /// write_mu_ alone (WalWriter's size and open flag are atomic for the
+  /// shared-lock readers).
   std::string wal_dir_;
   std::optional<storage::WalWriter> wal_;
-  /// Follower (read-only) mode; see SetReadOnly. Guarded by
-  /// reconfig_mu_.
+  /// Follower (read-only) mode; see SetReadOnly. Written under write_mu_
+  /// plus reconfig_mu_ exclusively.
   bool read_only_ = false;
   /// Snapshot generations pinned against retirement; see
   /// generation_pins(). Internally synchronized (request threads pin
   /// without the reconfiguration lock).
   storage::GenerationPins pins_;
+  /// Writer mutex: orders every data mutation — AppendReviews,
+  /// ApplyReplicatedRecord, Checkpoint, ReplicaCheckpoint, SaveDatabase,
+  /// EnableWal, OpenDatabase, Reaggregate, InstallSummaries,
+  /// TrainMembership, SetObjectiveTable, SetReadOnly, Promote. Always
+  /// taken before reconfig_mu_. Holding it freezes the served data, so
+  /// a holder may read that data under the shared lock (or without it)
+  /// and take the exclusive lock only to publish.
+  mutable std::mutex write_mu_;
   /// Reconfiguration lock: ExecuteQuery / PredicateDegreeOfTruth hold it
-  /// shared for their whole run; Reaggregate, SetNumThreads,
-  /// SetTraceLevel, AttachDegreeCache and TrainMembership hold it
-  /// exclusively. This (a) keeps pool_ alive for the queries that
-  /// snapshotted it, (b) provides the external synchronization
-  /// DegreeCache::Clear() demands, and (c) prevents queries from
-  /// reading tables_/interpreter_ mid-rebuild.
+  /// shared for their whole run. Writers (under write_mu_) hold it
+  /// shared while they extract, journal or serialize a snapshot, and
+  /// exclusively only to fold a batch into the served state or to
+  /// publish a snapshot generation and rotate the WAL segment. Every
+  /// wholesale rebuild (Reaggregate, InstallSummaries, OpenDatabase,
+  /// TrainMembership) and the execution reconfigurators (SetNumThreads,
+  /// SetTraceLevel, AttachDegreeCache, ConfigureCaches, which do not
+  /// take write_mu_) hold it exclusively. This (a) keeps pool_ alive for
+  /// the queries that snapshotted it, (b) provides the external
+  /// synchronization DegreeCache::Clear() demands, and (c) prevents
+  /// queries from reading tables_/interpreter_ mid-update.
   mutable std::shared_mutex reconfig_mu_;
-  /// extraction_lists_[a][e]: pointers into tables_.extractions.
-  std::vector<std::vector<std::vector<const extract::ExtractedOpinion*>>>
-      extraction_lists_;
+  /// extraction_lists_[a][e]: indices into tables_.extractions (stable
+  /// when the relation reallocates on growth).
+  std::vector<std::vector<std::vector<size_t>>> extraction_lists_;
 };
 
 }  // namespace opinedb::core

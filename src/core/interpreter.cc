@@ -48,8 +48,9 @@ void Interpreter::BuildVariationTable() {
 }
 
 void Interpreter::AppendNewExtractions() {
-  for (size_t i = indexed_extractions_; i < tables_->extractions.size();
-       ++i) {
+  const size_t begin = indexed_extractions_;
+  const size_t end = tables_->extractions.size();
+  for (size_t i = begin; i < end; ++i) {
     const int a = tables_->extraction_attribute[i];
     const int m = tables_->extraction_marker[i];
     if (a < 0 || m < 0) continue;
@@ -62,37 +63,37 @@ void Interpreter::AppendNewExtractions() {
     v.rep = embedder_->Represent(phrase);
     variations_.push_back(std::move(v));
   }
-  indexed_extractions_ = tables_->extractions.size();
-  RebuildReviewStatistics();
-}
 
-void Interpreter::RebuildReviewStatistics() {
-  // Per-review extraction lists + attribute idf. Integer-only work over
-  // the full relation — cheap enough to redo from scratch on every
-  // ingest batch, which keeps it trivially identical to a fresh build.
-  size_t num_reviews = 0;
-  for (const auto& opinion : tables_->extractions) {
-    num_reviews = std::max(num_reviews,
-                           static_cast<size_t>(opinion.review) + 1);
-  }
-  num_reviews = std::max(num_reviews, review_index_->num_documents());
-  review_extractions_.assign(num_reviews, {});
-  std::vector<std::set<int>> review_attrs(num_reviews);
-  for (size_t i = 0; i < tables_->extractions.size(); ++i) {
-    const auto review = tables_->extractions[i].review;
-    review_extractions_[review].push_back(i);
-    if (tables_->extraction_attribute[i] >= 0) {
-      review_attrs[review].insert(tables_->extraction_attribute[i]);
+  // Per-review extraction lists and per-attribute review counts. A
+  // review's attributes are exactly those of the extractions already in
+  // its list, so "first extraction of attribute A in this review" is a
+  // scan of one short list.
+  attribute_review_count_.resize(schema_->num_attributes(), 0);
+  for (size_t i = begin; i < end; ++i) {
+    const size_t review = static_cast<size_t>(tables_->extractions[i].review);
+    if (review >= review_extractions_.size()) {
+      review_extractions_.resize(review + 1);
     }
+    std::vector<size_t>& list = review_extractions_[review];
+    const int a = tables_->extraction_attribute[i];
+    if (a >= 0 &&
+        std::none_of(list.begin(), list.end(), [&](size_t j) {
+          return tables_->extraction_attribute[j] == a;
+        })) {
+      ++attribute_review_count_[a];
+    }
+    list.push_back(i);
   }
-  std::vector<int> attr_review_count(schema_->num_attributes(), 0);
-  for (const auto& attrs : review_attrs) {
-    for (int a : attrs) ++attr_review_count[a];
+  indexed_extractions_ = end;
+  if (review_extractions_.size() < review_index_->num_documents()) {
+    review_extractions_.resize(review_index_->num_documents());
   }
   attribute_idf_.resize(schema_->num_attributes());
-  const double n = static_cast<double>(std::max<size_t>(1, num_reviews));
+  const double n =
+      static_cast<double>(std::max<size_t>(1, review_extractions_.size()));
   for (size_t a = 0; a < schema_->num_attributes(); ++a) {
-    attribute_idf_[a] = std::log(n / (1.0 + attr_review_count[a]));
+    attribute_idf_[a] = std::log(
+        n / (1.0 + static_cast<double>(attribute_review_count_[a])));
     // Attributes mentioned everywhere still deserve some weight.
     attribute_idf_[a] = std::max(attribute_idf_[a], 0.1);
   }

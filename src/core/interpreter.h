@@ -135,13 +135,15 @@ class Interpreter {
   const InterpreterOptions& options() const { return options_; }
 
   /// Incremental maintenance for the ingest path: indexes extractions
-  /// appended to `tables_` since construction (or the previous call) —
-  /// new qualifying phrases join the variation table in append order
-  /// with the same dedup/margin gates the constructor applies, and the
-  /// per-review extraction lists + attribute idf are recomputed over
-  /// the full (cheap, integer-only) relation. The resulting state is
-  /// bit-identical to constructing a fresh Interpreter over the grown
-  /// tables. Callers must hold the engine's exclusive lock.
+  /// appended to `tables_` since construction (or the previous call).
+  /// New qualifying phrases join the variation table in append order
+  /// with the same dedup/margin gates; the per-review extraction lists,
+  /// the per-attribute review counts and the attribute idf are extended
+  /// from the new extractions only, so a call costs O(batch), not
+  /// O(relation). Construction is this same append starting from
+  /// extraction 0, so incremental growth is bit-identical to
+  /// constructing a fresh Interpreter over the grown tables. Callers
+  /// must hold the engine's exclusive lock.
   void AppendNewExtractions();
 
   /// Number of tables_->extractions entries indexed so far (== size()
@@ -156,9 +158,6 @@ class Interpreter {
   };
 
   void BuildVariationTable();
-  /// The integer-only half of the table build: per-review extraction
-  /// lists and attribute idf, recomputed from scratch.
-  void RebuildReviewStatistics();
 
   const SubjectiveSchema* schema_;
   const SubjectiveTables* tables_;
@@ -175,9 +174,12 @@ class Interpreter {
   /// How many tables_->extractions entries have been considered for the
   /// variation table (the incremental high-water mark).
   size_t indexed_extractions_ = 0;
-  /// Per-review extraction indices (into tables_->extractions).
+  /// Per-review extraction indices (into tables_->extractions), one
+  /// slot per review id up to the highest seen (N below).
   std::vector<std::vector<size_t>> review_extractions_;
-  /// idf(A): log(N / (1 + #reviews with an extraction of attribute A)).
+  /// #reviews with an extraction of attribute A.
+  std::vector<size_t> attribute_review_count_;
+  /// idf(A): log(N / (1 + attribute_review_count_[A])).
   std::vector<double> attribute_idf_;
 };
 

@@ -28,9 +28,11 @@ std::vector<double> MembershipFeatures(const MarkerSummary& summary,
 
 /// The "no markers" ablation of Table 7: equivalent engineered features
 /// computed directly from the extracted phrases of (attribute, entity) —
-/// requires scanning the extraction table at query time.
+/// requires scanning the extraction table at query time. `phrases`
+/// indexes `extractions`.
 std::vector<double> MembershipFeaturesNoMarkers(
-    const std::vector<const extract::ExtractedOpinion*>& phrases,
+    const std::vector<extract::ExtractedOpinion>& extractions,
+    const std::vector<size_t>& phrases,
     const embedding::PhraseEmbedder& embedder,
     const embedding::Vec& query_rep, double query_sentiment);
 

@@ -38,7 +38,8 @@ std::vector<core::MembershipModel::LabeledTuple> MakeMembershipTuples(
           db.summary(atom.attribute, entity), atom.marker, rep, senti);
     } else {
       tuple.features = core::MembershipFeaturesNoMarkers(
-          db.PhrasesOf(atom.attribute, entity), embedder, rep, senti);
+          db.tables().extractions, db.PhrasesOf(atom.attribute, entity),
+          embedder, rep, senti);
     }
     tuple.label =
         datagen::SatisfiesGroundTruth(domain.entities[entity], predicate)

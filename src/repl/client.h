@@ -35,9 +35,9 @@ struct ReplicationClientOptions {
 /// batch fingerprint BEFORE applying anything, and applies each record
 /// through OpineDb::ApplyReplicatedRecord — which journals the record
 /// to the follower's own WAL and folds it through the exact live-ingest
-/// path in one critical section. The follower's state and WAL segment
-/// are therefore bit-identical to the primary's at every acknowledged
-/// offset.
+/// path under one hold of the engine's writer mutex. The follower's
+/// state and WAL segment are therefore bit-identical to the primary's
+/// at every acknowledged offset.
 ///
 /// Lifecycle: Initialize() (puts the engine in read-only mode, replays
 /// the local durable tail, recomputes the stream position), then either

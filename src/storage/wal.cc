@@ -185,28 +185,23 @@ Status TruncateWal(const std::string& path, uint64_t valid_bytes) {
 WalWriter::~WalWriter() { Close(); }
 
 WalWriter::WalWriter(WalWriter&& other) noexcept
-    : fd_(other.fd_), size_(other.size_), path_(std::move(other.path_)) {
-  other.fd_ = -1;
-  other.size_ = 0;
-}
+    : fd_(other.fd_.exchange(-1)),
+      size_(other.size_.exchange(0)),
+      path_(std::move(other.path_)) {}
 
 WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
   if (this != &other) {
     Close();
-    fd_ = other.fd_;
-    size_ = other.size_;
+    fd_ = other.fd_.exchange(-1);
+    size_ = other.size_.exchange(0);
     path_ = std::move(other.path_);
-    other.fd_ = -1;
-    other.size_ = 0;
   }
   return *this;
 }
 
 void WalWriter::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  const int fd = fd_.exchange(-1);
+  if (fd >= 0) ::close(fd);
 }
 
 void WalWriter::MarkBroken() {
@@ -262,7 +257,8 @@ Result<WalWriter> WalWriter::Open(const std::string& path,
 }
 
 Status WalWriter::Append(std::string_view payload) {
-  if (fd_ < 0) {
+  const int fd = fd_.load();
+  if (fd < 0) {
     return Status::FailedPrecondition(
         "wal writer is broken (a previous append failed) or closed");
   }
@@ -276,12 +272,12 @@ Status WalWriter::Append(std::string_view payload) {
   // Torn-record site: persist half the frame, then stop — the state a
   // power cut mid-append leaves. The writer is broken from here on.
   if (OPINEDB_FAULT_HIT("storage.wal_short_write")) {
-    WriteAll(fd_, frame.data(), frame.size() / 2);
-    ::fsync(fd_);
+    WriteAll(fd, frame.data(), frame.size() / 2);
+    ::fsync(fd);
     MarkBroken();
     return Status::Internal("injected fault at storage.wal_short_write");
   }
-  if (!WriteAll(fd_, frame.data(), frame.size())) {
+  if (!WriteAll(fd, frame.data(), frame.size())) {
     const std::string err = std::strerror(errno);
     MarkBroken();
     return Status::Internal("wal write failed: " + path_ + ": " + err);
@@ -291,17 +287,17 @@ Status WalWriter::Append(std::string_view payload) {
   // prefix so the durable state never contains unacknowledged records,
   // then break the writer (the PostgreSQL fsync-gate lesson).
   if (OPINEDB_FAULT_HIT("storage.wal_fsync")) {
-    ::ftruncate(fd_, static_cast<off_t>(size_));
+    ::ftruncate(fd, static_cast<off_t>(size()));
     MarkBroken();
     return Status::Internal("injected fault at storage.wal_fsync");
   }
-  if (::fsync(fd_) != 0) {
+  if (::fsync(fd) != 0) {
     const std::string err = std::strerror(errno);
-    ::ftruncate(fd_, static_cast<off_t>(size_));
+    ::ftruncate(fd, static_cast<off_t>(size()));
     MarkBroken();
     return Status::Internal("wal fsync failed: " + path_ + ": " + err);
   }
-  size_ += frame.size();
+  size_.fetch_add(frame.size());
   OPINEDB_METRIC_COUNT("storage.wal.appends", 1);
   OPINEDB_METRIC_COUNT("storage.wal.bytes_written", frame.size());
   return Status::OK();

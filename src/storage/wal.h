@@ -1,6 +1,7 @@
 #ifndef OPINEDB_STORAGE_WAL_H_
 #define OPINEDB_STORAGE_WAL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -34,8 +35,11 @@ namespace opinedb::storage {
 /// crashed process would leave; recovery re-establishes the invariant by
 /// truncating at the first corrupt record.
 ///
-/// Thread safety: none. The engine serializes all WAL access under its
-/// exclusive reconfiguration lock.
+/// Thread safety: one writer at a time (the engine serializes appends,
+/// checkpoints and rotation under its writer mutex). is_open() and
+/// size() may be read concurrently with an Append: the engine's
+/// wal_acknowledged_bytes() and the replication source read them while
+/// a batch is being journaled.
 
 /// Size of the segment header: magic (8) | u64 base generation | u32
 /// masked CRC. Replication offsets count bytes past this header, so the
@@ -115,9 +119,11 @@ class WalWriter {
   /// recovery handles both.
   Status Append(std::string_view payload);
 
-  bool is_open() const { return fd_ >= 0; }
-  /// Durable segment length acknowledged so far.
-  uint64_t size() const { return size_; }
+  bool is_open() const { return fd_.load() >= 0; }
+  /// Durable segment length acknowledged so far. Advanced only after
+  /// the fsync returns, so a concurrent reader never sees a length that
+  /// covers unacknowledged bytes.
+  uint64_t size() const { return size_.load(); }
 
   /// Closes the descriptor (also done by the destructor).
   void Close();
@@ -128,8 +134,8 @@ class WalWriter {
   /// and raises the storage.wal.broken gauge that /healthz surfaces.
   void MarkBroken();
 
-  int fd_ = -1;
-  uint64_t size_ = 0;
+  std::atomic<int> fd_{-1};
+  std::atomic<uint64_t> size_{0};
   std::string path_;
 };
 

@@ -248,7 +248,7 @@ TEST(InterpretationCacheTest, SerializedFormRoundTripsBitExactly) {
   cache.Insert("quiet at night", second);
 
   std::ostringstream bytes;
-  ASSERT_TRUE(cache::SaveInterpretationCache(cache, &bytes).ok());
+  ASSERT_TRUE(cache::SaveInterpretationCache(cache, 3, &bytes).ok());
   InterpretationCache loaded;
   std::istringstream in(bytes.str());
   ASSERT_TRUE(cache::LoadInterpretationCache(&in, 9, &loaded).ok());
@@ -283,14 +283,33 @@ TEST(InterpretationCacheTest, ReserializingIsByteIdentical) {
   a.Insert("aa first", MakeEntry(1));
   a.Insert("mm mid", MakeEntry(1));
   std::ostringstream bytes_a;
-  ASSERT_TRUE(cache::SaveInterpretationCache(a, &bytes_a).ok());
+  ASSERT_TRUE(cache::SaveInterpretationCache(a, 1, &bytes_a).ok());
 
   InterpretationCache b;
   std::istringstream in(bytes_a.str());
   ASSERT_TRUE(cache::LoadInterpretationCache(&in, 5, &b).ok());
   std::ostringstream bytes_b;
-  ASSERT_TRUE(cache::SaveInterpretationCache(b, &bytes_b).ok());
+  ASSERT_TRUE(cache::SaveInterpretationCache(b, 5, &bytes_b).ok());
   EXPECT_EQ(bytes_a.str(), bytes_b.str());
+}
+
+TEST(InterpretationCacheTest, SaveKeepsOnlyCurrentEpochEntries) {
+  // The load re-tags every entry with the opening engine's epoch, so a
+  // stale entry (one whose re-derivation failed at the last epoch bump)
+  // that reached the payload would come back as a valid hit.
+  InterpretationCache cache;
+  cache.Insert("clean rooms", MakeEntry(4));
+  cache.Insert("quiet at night", MakeEntry(3));
+  std::ostringstream bytes;
+  ASSERT_TRUE(cache::SaveInterpretationCache(cache, 4, &bytes).ok());
+  InterpretationCache loaded;
+  std::istringstream in(bytes.str());
+  ASSERT_TRUE(cache::LoadInterpretationCache(&in, 7, &loaded).ok());
+  EXPECT_EQ(loaded.size(), 1u);
+  InterpretationCache::Entry out;
+  EXPECT_TRUE(loaded.Lookup("clean rooms", 7, &out));
+  EXPECT_FALSE(loaded.Lookup("quiet at night", 7, &out))
+      << "a stale-epoch entry round-tripped as fresh";
 }
 
 // ------------------------------------------- engine never-cache rules.

@@ -125,8 +125,10 @@ TEST_F(AggregatorTest, IncrementalAddMatchesBatch) {
   auto batch = aggregator_.Build(corpus, opinions, AggregationOptions());
   auto incremental =
       aggregator_.Build(corpus, {opinions[0]}, AggregationOptions());
-  aggregator_.AddOpinion(opinions[1], corpus, AggregationOptions(),
-                         &incremental);
+  aggregator_.Fold(opinions[1],
+                   aggregator_.Prepare(opinions[1], corpus.review(review),
+                                       corpus, AggregationOptions()),
+                   &incremental);
   for (size_t a = 0; a < 2; ++a) {
     for (size_t m = 0; m < 2; ++m) {
       EXPECT_DOUBLE_EQ(batch.summaries[a][hotel].count(m),
@@ -236,8 +238,8 @@ TEST(MembershipFeaturesTest, NoMarkerVariantSeesPhrases) {
   extract::ExtractedOpinion b;
   b.phrase = "dirty room";
   b.sentiment = -0.7;
-  std::vector<const extract::ExtractedOpinion*> phrases = {&a, &b};
-  auto f = MembershipFeaturesNoMarkers(phrases, embedder,
+  const std::vector<extract::ExtractedOpinion> extractions = {a, b};
+  auto f = MembershipFeaturesNoMarkers(extractions, {0, 1}, embedder,
                                        embedder.Represent("clean room"),
                                        0.7);
   ASSERT_EQ(f.size(), kMembershipFeatureDim);

@@ -18,11 +18,14 @@
 //  4. concurrency: appends and checkpoints under a live query hammer at
 //     8 threads keep answers bit-identical to a single-threaded
 //     reference engine fed the same batches (the tsan gate for the
-//     ingest path's locking);
+//     ingest path's locking), and queries run to completion while a
+//     checkpoint serializes its snapshot;
 //  5. the HTTP front door: POST /reviews admission control and
 //     POST /admin/checkpoint surface the same contracts over JSON.
 //
 // Crash-site tests self-skip when OPINEDB_FAULT_INJECTION is off.
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <random>
@@ -32,7 +35,11 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/cache_config.h"
+#include "cache/interpretation_cache.h"
 #include "common/fault.h"
+#include "common/string_util.h"
+#include "common/timer.h"
 #include "core/degree_cache.h"
 #include "core/engine.h"
 #include "datagen/domain_spec.h"
@@ -171,6 +178,44 @@ TEST_F(IngestTest, AppendIsBitIdenticalToRebuildOfExtendedRelation) {
                      "append vs rebuild");
   EXPECT_EQ(incremental.db->corpus().num_reviews(),
             rebuilt.db->corpus().num_reviews());
+  // The interpreter itself: idf and the per-review lists reach answers
+  // only through the co-occurrence stage, so compare every pool
+  // predicate's interpretation — method, atoms and scores — bit for bit.
+  for (const auto& predicate : incremental.pool) {
+    const auto want = rebuilt.db->interpreter().Interpret(predicate.text);
+    const auto got = incremental.db->interpreter().Interpret(predicate.text);
+    EXPECT_TRUE(want == got) << "interpretation differs: " << predicate.text;
+  }
+}
+
+TEST_F(IngestTest, AppendAcrossCheckpointsReplaysBitIdentically) {
+  eval::DomainArtifacts live = BuildEngine();
+  const auto queries = PoolQueries(live, 8);
+  ASSERT_TRUE(live.db->SaveDatabase(dir()).ok());
+  ASSERT_TRUE(live.db->EnableWal(dir()).ok());
+  const int32_t entities =
+      static_cast<int32_t>(live.db->corpus().num_entities());
+  for (uint64_t round = 0; round < 7; ++round) {
+    ASSERT_TRUE(live.db
+                    ->AppendReviews(MakeBatch(
+                        200 + round, 1 + static_cast<int>(round % 3),
+                        entities))
+                    .ok());
+    if (round % 2 == 1) {
+      ASSERT_TRUE(live.db->Checkpoint().ok());
+    }
+  }
+  // The last batch sits in the WAL tail past the newest generation:
+  // recovery folds snapshot + tail and must land on the live state.
+  eval::DomainArtifacts recovered = BuildEngine();
+  ASSERT_TRUE(recovered.db->OpenDatabase(dir()).ok());
+  EXPECT_EQ(recovered.db->snapshot_generation(),
+            live.db->snapshot_generation());
+  ASSERT_TRUE(recovered.db->EnableWal(dir()).ok());
+  EXPECT_EQ(recovered.db->wal_acknowledged_bytes(),
+            live.db->wal_acknowledged_bytes());
+  ExpectEnginesAgree(*live.db, *recovered.db, queries,
+                     "checkpoints interleaved with appends");
 }
 
 TEST_F(IngestTest, AppendUpdatesOnlyTouchedEntityEpochs) {
@@ -465,7 +510,115 @@ TEST_F(IngestTest, FoldCrashLeavesRecoverableCommittedSnapshot) {
       << "the next clean checkpoint sweeps stale segments";
 }
 
+TEST_F(IngestTest, DegradedRederivationDoesNotSurviveCheckpoint) {
+  if (!fault::CompiledIn()) {
+    GTEST_SKIP() << "fault injection compiled out (plain Release build)";
+  }
+  eval::DomainArtifacts live = BuildEngine();
+  cache::CacheConfig on;
+  on.enable_interpretation = true;
+  live.db->ConfigureCaches(on);
+  const std::string key = NormalizePredicate(live.pool[0].text);
+  (void)MustExecute(*live.db, PoolQueries(live, 1)[0]);
+  ASSERT_EQ(live.db->interpretation_cache()->size(), 1u);
+  ASSERT_TRUE(live.db->SaveDatabase(dir()).ok());
+  ASSERT_TRUE(live.db->EnableWal(dir()).ok());
+
+  // The ingest's eager re-derivation of the one resident key degrades,
+  // so the entry stays behind at the old epoch: a miss from now on.
+  fault::Arm("interpret.w2v", 1);
+  ASSERT_TRUE(live.db
+                  ->AppendReviews(MakeBatch(
+                      70, 2,
+                      static_cast<int32_t>(live.db->corpus().num_entities())))
+                  .ok());
+  EXPECT_EQ(fault::HitCount("interpret.w2v"), 1u);
+  fault::DisarmAll();
+  cache::InterpretationCache::Entry entry;
+  EXPECT_FALSE(live.db->interpretation_cache()->Lookup(
+      key, live.db->cache_epoch(), &entry));
+
+  // A checkpoint must not carry the stale entry into the snapshot, where
+  // the open would re-tag it with its fresh epoch and serve it as valid.
+  ASSERT_TRUE(live.db->Checkpoint().ok());
+  eval::DomainArtifacts reopened = BuildEngine();
+  reopened.db->ConfigureCaches(on);
+  ASSERT_TRUE(reopened.db->OpenDatabase(dir()).ok());
+  EXPECT_FALSE(reopened.db->interpretation_cache()->Lookup(
+      key, reopened.db->cache_epoch(), &entry))
+      << "a stale-epoch entry came back as a valid hit after reopen";
+}
+
 // ------------------------------------------------------ Concurrency.
+
+TEST_F(IngestTest, QueriesCompleteWhileCheckpointRuns) {
+  using Clock = std::chrono::steady_clock;
+  eval::DomainArtifacts live = BuildEngine();
+  const auto queries = PoolQueries(live, 4);
+  ASSERT_TRUE(live.db->SaveDatabase(dir()).ok());
+  ASSERT_TRUE(live.db->EnableWal(dir()).ok());
+  const int32_t entities =
+      static_cast<int32_t>(live.db->corpus().num_entities());
+
+  // Grow the summaries (their provenance lists grow with every review)
+  // until one checkpoint takes tens of ms and many times one query, so
+  // a reader has room to run whole queries inside it.
+  Timer query_timer;
+  (void)MustExecute(*live.db, queries[0]);
+  const double query_ms = query_timer.ElapsedMillis();
+  double checkpoint_ms = 0.0;
+  for (uint64_t round = 0;
+       round < 64 && (checkpoint_ms < 30.0 || checkpoint_ms < 20 * query_ms);
+       ++round) {
+    ASSERT_TRUE(
+        live.db->AppendReviews(MakeBatch(300 + round, 256, entities)).ok());
+    Timer timer;
+    ASSERT_TRUE(live.db->Checkpoint().ok());
+    checkpoint_ms = timer.ElapsedMillis();
+  }
+  std::vector<core::QueryResult> goldens;
+  for (const auto& sql : queries) goldens.push_back(MustExecute(*live.db, sql));
+
+  struct Sample {
+    Clock::time_point start, end;
+    size_t query = 0;
+    core::QueryResult result;
+  };
+  std::vector<Sample> samples;
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> completed{0};
+  std::thread reader([&] {
+    // Bounded as well as stoppable, so a writer that never gets the
+    // lock cannot hang the test.
+    for (size_t i = 0; i < 200000 && !stop.load(); ++i) {
+      Sample sample;
+      sample.query = i % queries.size();
+      sample.start = Clock::now();
+      sample.result = MustExecute(*live.db, queries[sample.query]);
+      sample.end = Clock::now();
+      samples.push_back(std::move(sample));
+      completed.fetch_add(1);
+    }
+  });
+  while (completed.load() < 2) std::this_thread::yield();
+  const Clock::time_point call = Clock::now();
+  const Status folded = live.db->Checkpoint();
+  const Clock::time_point returned = Clock::now();
+  stop.store(true);
+  reader.join();
+  ASSERT_TRUE(folded.ok()) << folded.ToString();
+
+  size_t inside = 0;
+  for (const Sample& sample : samples) {
+    ExpectBitIdentical(goldens[sample.query], sample.result,
+                       "query beside a checkpoint");
+    if (sample.start > call && sample.end < returned) ++inside;
+  }
+  EXPECT_GE(inside, 3u)
+      << "queries must run while the checkpoint serializes its snapshot ("
+      << checkpoint_ms << " ms per checkpoint, " << samples.size()
+      << " queries in all)";
+}
 
 TEST_F(IngestTest, AppendsUnderQueryHammerStayBitIdentical) {
   eval::DomainArtifacts hammered = BuildEngine();
