@@ -443,7 +443,7 @@ void RunPlannerSweep() {
       std::exit(1);
     }
     pushdown_speedup.push_back(dense_ms.back() / filtered_ms.back());
-    survivors.push_back(filtered_result.stats.entities_scored);
+    survivors.push_back(filtered_result.watermark);
     selectivity.push_back(static_cast<double>(survivors.back()) /
                           static_cast<double>(num_entities));
     printf("  price_pn < %-3d  survivors %3zu/%zu  dense %7.2f ms  "

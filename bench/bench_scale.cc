@@ -16,6 +16,8 @@
 #include "core/columnar.h"
 #include "core/engine.h"
 #include "datagen/scale.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace opinedb {
 namespace {
@@ -46,6 +48,14 @@ size_t EnvSize(const char* name, size_t fallback) {
   if (env == nullptr) return fallback;
   const long long v = std::atoll(env);
   return v > 0 ? static_cast<size_t>(v) : fallback;
+}
+
+/// Running sum (ms) of one of the latency histograms ExecuteQuery feeds
+/// at trace level stats (engine.scoring_ms, engine.total_ms).
+double LatencySumMs(const char* name) {
+  return obs::MetricsRegistry::Global()
+      .GetHistogram(name, obs::MetricsRegistry::LatencyBucketsMs())
+      ->Sum();
 }
 
 int Run() {
@@ -99,6 +109,8 @@ int Run() {
   const size_t hw = bench::ResolvedThreads(0);
   if (hw > 1) threads.push_back(hw);
 
+  // Phase times come from the registry, so the sweep runs at stats.
+  db.SetTraceLevel(obs::TraceLevel::kStats);
   std::vector<SweepPoint> sweep;
   for (size_t t : threads) {
     db.SetNumThreads(t);
@@ -115,21 +127,25 @@ int Run() {
       }
     }
     for (int r = 0; r < repeats; ++r) {
+      const double scoring_before = LatencySumMs("engine.scoring_ms");
+      const double dense_before = LatencySumMs("engine.total_ms");
       for (size_t i = 0; i < dense_sql.size(); ++i) {
         auto result = db.Execute(dense_sql[i]);
         if (!result.ok()) return 1;
-        point.dense_scoring_ms += result->stats.scoring_ms;
-        point.dense_total_ms += result->stats.total_ms;
-        point.dense_entities += result->stats.entities_scored;
-        point.dense_scan_bytes +=
-            static_cast<double>(result->stats.entities_scored) *
-            query_bytes_per_entity[i];
+        point.dense_entities += result->watermark;
+        point.dense_scan_bytes += static_cast<double>(result->watermark) *
+                                  query_bytes_per_entity[i];
       }
+      point.dense_scoring_ms +=
+          LatencySumMs("engine.scoring_ms") - scoring_before;
+      const double filtered_before = LatencySumMs("engine.total_ms");
+      point.dense_total_ms += filtered_before - dense_before;
       for (const auto& sql : filtered_sql) {
         auto result = db.Execute(sql);
         if (!result.ok()) return 1;
-        point.filtered_total_ms += result->stats.total_ms;
       }
+      point.filtered_total_ms +=
+          LatencySumMs("engine.total_ms") - filtered_before;
     }
     printf("  threads=%zu dense %10.0f entities/s  (%.3f GB/s, "
            "scoring %.1f ms)\n",

@@ -70,6 +70,7 @@ int main() {
       "select * from hotels where \"friendly staff\" and "
       "\"delicious breakfast\" limit 3";
   (void)db.Execute(hot_sql);  // Materializes both lists.
+  const size_t hits_before = cache.stats().hits;
   auto hot = db.Execute(hot_sql);
   db.AttachDegreeCache(nullptr);
   if (hot.ok()) {
@@ -77,7 +78,7 @@ int main() {
       printf("  %-12s %.3f\n", r.entity_name.c_str(), r.score);
     }
     printf("  (%zu of %zu degree lists served from the cache)\n",
-           hot->stats.cache_hits, cache.size());
+           cache.stats().hits - hits_before, cache.size());
   }
 
   // Persist and reload the queryable state.

@@ -20,11 +20,6 @@ struct CacheConfig {
   /// Total byte budget of the result cache, split evenly across shards.
   /// Entries larger than one shard's budget are never cached.
   size_t result_cache_bytes = 4u << 20;  // 4 MiB.
-  /// Lock-striping widths. More shards = less contention under
-  /// concurrent serving, at a small fixed memory cost. The defaults
-  /// preserve the historical hard-coded counts.
-  size_t result_cache_shards = 8;
-  size_t interp_cache_shards = 16;
 };
 
 }  // namespace opinedb::cache

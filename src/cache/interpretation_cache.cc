@@ -50,8 +50,7 @@ Result<core::InterpretMethod> MethodFromChar(char c) {
 
 }  // namespace
 
-InterpretationCache::InterpretationCache(size_t num_shards)
-    : shards_(std::max<size_t>(1, num_shards)) {}
+InterpretationCache::InterpretationCache() : shards_(kNumShards) {}
 
 InterpretationCache::Shard& InterpretationCache::ShardFor(
     const std::string& key) {
@@ -90,16 +89,6 @@ void InterpretationCache::Clear() {
     std::unique_lock<std::shared_mutex> lock(shard.mu);
     shard.map.clear();
   }
-}
-
-std::vector<std::string> InterpretationCache::Keys() const {
-  std::vector<std::string> keys;
-  for (const Shard& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    for (const auto& [key, entry] : shard.map) keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
 }
 
 size_t InterpretationCache::size() const {

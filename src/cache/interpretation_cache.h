@@ -26,9 +26,11 @@ namespace opinedb::cache {
 /// with the same normalization are indistinguishable to all of them.
 ///
 /// Entries are tagged with the engine's cache epoch; a lookup whose
-/// epoch does not match is a miss, and the engine clears the cache
-/// wholesale on every epoch bump (Reaggregate / OpenDatabase /
-/// TrainMembership). Degraded interpretations are never inserted.
+/// epoch does not match is a miss, and the engine clears the cache on
+/// every wholesale invalidation (Reaggregate / OpenDatabase /
+/// TrainMembership); after an ingest's bump the stale entries stay
+/// resident and the next lookup of each key misses and refills it.
+/// Degraded interpretations are never inserted.
 ///
 /// Thread-safe: sharded shared_mutex maps, same discipline as
 /// core::DegreeCache. Lookups copy the entry out, so no references
@@ -42,16 +44,14 @@ class InterpretationCache {
     uint64_t epoch = 0;
   };
 
-  /// `num_shards` is clamped to at least 1; the count is fixed for the
-  /// cache's lifetime (the engine rebuilds the layer to change it).
-  explicit InterpretationCache(size_t num_shards = 16);
+  InterpretationCache();
   InterpretationCache(const InterpretationCache&) = delete;
   InterpretationCache& operator=(const InterpretationCache&) = delete;
 
   /// Copies the entry for `key` into `*out` and returns true when
   /// present with a matching epoch. A present-but-stale entry is a miss
-  /// (the engine clears on every bump, so staleness here means a racing
-  /// reader loaded before the clear — the epoch tag is the backstop).
+  /// (left behind by an ingest's epoch bump; the caller re-derives the
+  /// interpretation and overwrites it).
   bool Lookup(const std::string& key, uint64_t epoch, Entry* out) const;
 
   /// Inserts (or overwrites) the entry for `key`. Callers must not
@@ -62,16 +62,8 @@ class InterpretationCache {
   /// Drops every entry (under all shard locks).
   void Clear();
 
-  /// Snapshot of all resident keys (per-shard shared locks, key-sorted
-  /// for determinism). The ingest path uses it to re-derive entries at
-  /// the new epoch instead of dropping the warm set wholesale.
-  std::vector<std::string> Keys() const;
-
   /// Resident entries across all shards.
   size_t size() const;
-
-  /// Lock-striping width this cache was built with.
-  size_t num_shards() const { return shards_.size(); }
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
@@ -90,6 +82,9 @@ class InterpretationCache {
   Shard& ShardFor(const std::string& key);
   const Shard& ShardFor(const std::string& key) const;
 
+  /// Lock-striping width: enough for concurrent serving, at a small
+  /// fixed memory cost.
+  static constexpr size_t kNumShards = 16;
   /// Sized once at construction; never resized (shards own mutexes).
   std::vector<Shard> shards_;
   mutable std::atomic<uint64_t> hits_{0};
@@ -97,9 +92,9 @@ class InterpretationCache {
 };
 
 /// Serializes the resident entries tagged with `epoch` (the engine's
-/// current epoch; stale entries — e.g. one whose re-derivation after an
-/// ingest degraded — are left out, because the load re-tags every entry
-/// as fresh) in a deterministic (key-sorted) line-oriented text format —
+/// current epoch; stale entries — every key not looked up since the
+/// last ingest — are left out, because the load re-tags every entry as
+/// fresh) in a deterministic (key-sorted) line-oriented text format —
 /// the "interp_cache" snapshot section payload. Deterministic so save →
 /// open → save produces byte-identical sections. Doubles are written
 /// with max_digits10, so a reloaded entry is bit-exact.

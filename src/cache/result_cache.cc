@@ -1,13 +1,11 @@
 #include "cache/result_cache.h"
 
-#include <algorithm>
-
 namespace opinedb::cache {
 
-ResultCache::ResultCache(size_t byte_budget, size_t num_shards)
+ResultCache::ResultCache(size_t byte_budget)
     : byte_budget_(byte_budget),
-      shard_budget_(byte_budget / std::max<size_t>(1, num_shards)),
-      shards_(std::max<size_t>(1, num_shards)) {}
+      shard_budget_(byte_budget / kNumShards),
+      shards_(kNumShards) {}
 
 uint64_t ResultCache::Fingerprint(std::string_view key) {
   // FNV-1a, 64-bit.

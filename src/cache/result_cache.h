@@ -15,13 +15,14 @@
 namespace opinedb::cache {
 
 /// The cached portion of a QueryResult: the fields that are a pure
-/// function of (query, database state at one epoch). Stats, trace and
-/// plan_text are per-execution observability and are rebuilt fresh on a
-/// hit; `plan` records the shape that produced the entry at fill time.
+/// function of (query, database state at one epoch). The trace and
+/// plan_text are per-execution and are rebuilt fresh on a hit; `plan`
+/// records the shape that produced the entry at fill time.
 struct CachedResult {
   std::vector<core::RankedResult> results;
   std::vector<core::PredicateInterpretation> interpretations;
   core::PlanKind plan = core::PlanKind::kDenseScan;
+  size_t watermark = 0;
 };
 
 /// Sharded, byte-budgeted LRU over full query results, keyed by the
@@ -30,17 +31,15 @@ struct CachedResult {
 /// epoch bump; the per-entry epoch tag makes a stale entry a miss even
 /// if a clear raced a reader.
 ///
-/// Sharding: a key lives in shard Fingerprint(key) % num_shards, each
-/// shard owns budget/num_shards bytes and its own mutex + LRU list, so
+/// Sharding: a key lives in shard Fingerprint(key) % kNumShards, each
+/// shard owns budget/kNumShards bytes and its own mutex + LRU list, so
 /// eviction pressure in one shard never touches entries in another.
 /// Entries larger than one shard's budget are never cached. Lookups are
 /// exclusive per shard (a hit touches the LRU list) but copy the value
 /// out, so no references escape the lock.
 class ResultCache {
  public:
-  /// `num_shards` is clamped to at least 1; the count is fixed for the
-  /// cache's lifetime (the engine rebuilds the layer to change it).
-  explicit ResultCache(size_t byte_budget, size_t num_shards = 8);
+  explicit ResultCache(size_t byte_budget);
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
@@ -61,7 +60,6 @@ class ResultCache {
   size_t size() const;
   size_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
   size_t byte_budget() const { return byte_budget_; }
-  size_t num_shards() const { return shards_.size(); }
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
@@ -99,6 +97,8 @@ class ResultCache {
   /// shard.mu held.
   void EraseLocked(Shard* shard,
                    std::unordered_map<std::string, Entry>::iterator it);
+
+  static constexpr size_t kNumShards = 8;
 
   const size_t byte_budget_;
   const size_t shard_budget_;

@@ -1,6 +1,5 @@
 #include "core/degree_cache.h"
 
-#include <algorithm>
 #include <functional>
 #include <mutex>
 #include <stdexcept>
@@ -13,11 +12,7 @@
 
 namespace opinedb::core {
 
-DegreeCache::DegreeCache(const OpineDb* db, size_t num_shards)
-    : db_(db),
-      shards_(num_shards > 0
-                  ? num_shards
-                  : std::max<size_t>(1, db->options().degree_cache_shards)) {}
+DegreeCache::DegreeCache(const OpineDb* db) : db_(db), shards_(kNumShards) {}
 
 const DegreeCache::Shard& DegreeCache::ShardFor(
     const std::string& predicate) const {
@@ -166,7 +161,6 @@ void DegreeCache::Clear() {
     std::unique_lock<std::shared_mutex> lock(shard.mu);
     shard.map.clear();
   }
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 size_t DegreeCache::RefreshAfterIngest(
@@ -226,7 +220,6 @@ size_t DegreeCache::RefreshAfterIngest(
       ++it;
     }
   }
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
   span.AddAttribute("refreshed", static_cast<uint64_t>(refreshed));
   span.AddAttribute("recomputed", static_cast<uint64_t>(recomputed));
   span.AddAttribute("dropped", static_cast<uint64_t>(dropped));

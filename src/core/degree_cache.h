@@ -41,13 +41,7 @@ class DegreeCache {
     size_t misses = 0;
   };
 
-  /// `num_shards` = 0 (default) adopts the engine's
-  /// EngineOptions::degree_cache_shards; any positive value overrides
-  /// it. The count is fixed for the cache's lifetime.
-  explicit DegreeCache(const OpineDb* db, size_t num_shards = 0);
-
-  /// Lock-striping width this cache was built with.
-  size_t num_shards() const { return shards_.size(); }
+  explicit DegreeCache(const OpineDb* db);
 
   /// Per-entity degrees for `predicate`; computed once (in parallel over
   /// entities when the engine has a pool), then served from the cache.
@@ -75,21 +69,18 @@ class DegreeCache {
   /// rescored (ingest is additive, so untouched slots are already
   /// bit-exact); if it changed (the variation table or idf grew) the
   /// whole list is recomputed; if it degraded the entry is dropped.
-  /// Bumps the epoch. Requires the same external exclusion as Clear().
+  /// Requires the same external exclusion as Clear().
   /// Returns the number of entries refreshed in place.
   size_t RefreshAfterIngest(const std::vector<text::EntityId>& touched);
 
   bool Contains(const std::string& predicate) const;
   size_t size() const;
-  /// Drops every cached list and bumps the epoch. NOT safe concurrently
-  /// with other methods; invalidates all references previously returned
-  /// by Degrees(). OpineDb::Reaggregate calls this under the engine's
-  /// reconfiguration lock, which provides exactly that exclusion.
+  /// Drops every cached list. NOT safe concurrently with other methods;
+  /// invalidates all references previously returned by Degrees().
+  /// OpineDb::Reaggregate calls this under the engine's reconfiguration
+  /// lock, which provides exactly that exclusion, and bumps
+  /// OpineDb::cache_epoch() alongside.
   void Clear();
-  /// Invalidation generation: incremented by every Clear(). Lets
-  /// long-lived borrowers detect that references they took have been
-  /// invalidated by a rebuild.
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
   /// Hit/miss counters (monotone; Clear() does not reset them).
   CacheStats stats() const {
     return {hits_.load(std::memory_order_relaxed),
@@ -122,13 +113,15 @@ class DegreeCache {
   std::optional<CachedList> ComputeDegrees(
       const std::string& predicate, const QueryDeadline* deadline) const;
 
+  /// Lock-striping width for concurrent serving.
+  static constexpr size_t kNumShards = 16;
+
   const OpineDb* db_;
   /// Sized once at construction; never resized (references into shard
   /// maps must stay valid until Clear()).
   std::vector<Shard> shards_;
   std::atomic<size_t> hits_{0};
   std::atomic<size_t> misses_{0};
-  std::atomic<uint64_t> epoch_{0};
 };
 
 }  // namespace opinedb::core

@@ -172,12 +172,11 @@ std::unique_ptr<OpineDb> OpineDb::Build(
     db.pool_ = std::make_unique<ThreadPool>(options.num_threads);
   }
   if (options.cache.enable_interpretation) {
-    db.interp_cache_ = std::make_unique<cache::InterpretationCache>(
-        options.cache.interp_cache_shards);
+    db.interp_cache_ = std::make_unique<cache::InterpretationCache>();
   }
   if (options.cache.enable_results) {
     db.result_cache_ = std::make_unique<cache::ResultCache>(
-        options.cache.result_cache_bytes, options.cache.result_cache_shards);
+        options.cache.result_cache_bytes);
   }
 
   // 1. Tokenize reviews; build the review index (one document per
@@ -383,8 +382,6 @@ void OpineDb::InvalidateCachesLocked() {
     // synchronization Clear() demands (no concurrent readers, no
     // outstanding references).
     degree_cache_->Clear();
-    OPINEDB_METRIC_GAUGE_SET("engine.cache_epoch",
-                             static_cast<double>(degree_cache_->epoch()));
   }
   OPINEDB_METRIC_GAUGE_SET("engine.cache.epoch", static_cast<double>(epoch));
 }
@@ -393,14 +390,9 @@ void OpineDb::ConfigureCaches(const cache::CacheConfig& config) {
   std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
   options_.cache = config;
   if (config.enable_interpretation) {
-    // Keep a live layer (and its warm entries) unless the striping
-    // width changed — that is a constructor parameter, so honoring it
-    // means rebuilding the layer empty.
-    if (interp_cache_ == nullptr ||
-        interp_cache_->num_shards() !=
-            std::max<size_t>(1, config.interp_cache_shards)) {
-      interp_cache_ = std::make_unique<cache::InterpretationCache>(
-          config.interp_cache_shards);
+    // A live layer keeps its warm entries.
+    if (interp_cache_ == nullptr) {
+      interp_cache_ = std::make_unique<cache::InterpretationCache>();
     }
   } else {
     interp_cache_.reset();
@@ -409,7 +401,7 @@ void OpineDb::ConfigureCaches(const cache::CacheConfig& config) {
     // Always rebuilt: the byte budget is a constructor parameter, and a
     // fresh empty cache is cheap next to any real serving mix.
     result_cache_ = std::make_unique<cache::ResultCache>(
-        config.result_cache_bytes, config.result_cache_shards);
+        config.result_cache_bytes);
   } else {
     result_cache_.reset();
   }
@@ -719,32 +711,13 @@ void OpineDb::FoldBatchLocked(PreparedBatch batch) {
   columnar_->UpdateEntities(tables_, batch.touched);
 
   // Surgical cache maintenance — the whole reason ingest is not a
-  // Reaggregate. One epoch bump expires result-cache entries lazily (a
-  // ranking may depend on every entity, so per-entity invalidation is
-  // unsound there); everything else keeps its warm set.
+  // Reaggregate. One epoch bump expires result- and interpretation-cache
+  // entries lazily (a ranking may depend on every entity, so per-entity
+  // invalidation is unsound there; a stale interpretation is a miss that
+  // the next lookup re-derives from the post-ingest interpreter), while
+  // the degree cache keeps its warm set.
   const uint64_t epoch =
       cache_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (interp_cache_ != nullptr) {
-    // Interpretations can change under ingest (the variation table and
-    // per-attribute idf grow), so entries are re-derived from the
-    // post-ingest interpreter and re-tagged at the new epoch — a
-    // re-derivation that fails or degrades leaves the old entry behind
-    // as an inert stale-epoch miss.
-    for (const auto& key : interp_cache_->Keys()) {
-      try {
-        auto interpretation = interpreter_->Interpret(key);
-        if (interpretation.degraded) continue;
-        cache::InterpretationCache::Entry entry;
-        entry.interpretation = std::move(interpretation);
-        entry.rep = embedder_->Represent(key);
-        entry.sentiment = analyzer_.ScorePhrase(key);
-        entry.epoch = epoch;
-        interp_cache_->Insert(key, std::move(entry));
-      } catch (const std::exception&) {
-        OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
-      }
-    }
-  }
   if (degree_cache_ != nullptr) {
     // In-place refresh: untouched entities' slots (the warm working
     // set) survive; only touched slots are rescored.
@@ -1084,19 +1057,11 @@ double OpineDb::PredicateDegreeOfTruth(const std::string& predicate,
       .Score(static_cast<size_t>(entity));
 }
 
-Result<QueryResult> OpineDb::Execute(const std::string& sql) const {
-  return Execute(sql, QueryControl());
-}
-
 Result<QueryResult> OpineDb::Execute(const std::string& sql,
                                      const QueryControl& control) const {
   auto query = ParseSubjectiveSql(sql);
   if (!query.ok()) return query.status();
   return ExecuteQuery(*query, control);
-}
-
-Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query) const {
-  return ExecuteQuery(query, QueryControl());
 }
 
 Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
@@ -1120,29 +1085,31 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   // parallel-vs-serial bit-identity contract.
   std::optional<obs::TraceScope> trace_scope;
   if (options_.trace_level == obs::TraceLevel::kFull) {
-    output.trace =
-        std::make_shared<obs::TraceBuffer>(options_.trace_capacity);
+    output.trace = std::make_shared<obs::TraceBuffer>();
     trace_scope.emplace(output.trace.get());
   }
   obs::TraceSpan query_span("execute_query");
   query_span.AddAttribute("table", query.table);
   query_span.AddAttribute("conditions",
                           static_cast<uint64_t>(query.conditions.size()));
-  output.stats.threads_used = pool_ != nullptr ? pool_->num_threads() : 1;
-  query_span.AddAttribute("threads",
-                          static_cast<uint64_t>(output.stats.threads_used));
+  query_span.AddAttribute(
+      "threads",
+      static_cast<uint64_t>(pool_ != nullptr ? pool_->num_threads() : 1));
   // "Which data am I serving": the snapshot generation behind the
-  // summaries (0 = built in-process, never saved/loaded) and the degree
-  // cache's invalidation epoch, so traces correlate with Reaggregate /
-  // OpenDatabase events. Recorded only when a store/cache is in play so
-  // pre-persistence trace goldens stay unchanged.
+  // summaries (0 = built in-process, never saved/loaded) and the cache
+  // epoch, so traces correlate with Reaggregate / OpenDatabase / ingest
+  // events. Recorded only when a store/degree cache is in play so
+  // pre-persistence trace goldens stay unchanged. The epoch is read
+  // once; mutators bump it under the exclusive reconfiguration lock, so
+  // it cannot move mid-query.
   const uint64_t snapshot_generation =
       snapshot_generation_.load(std::memory_order_relaxed);
   if (snapshot_generation > 0) {
     query_span.AddAttribute("snapshot_generation", snapshot_generation);
   }
+  const uint64_t cache_epoch = cache_epoch_.load(std::memory_order_relaxed);
   if (degree_cache_ != nullptr) {
-    query_span.AddAttribute("cache_epoch", degree_cache_->epoch());
+    query_span.AddAttribute("cache_epoch", cache_epoch);
   }
   auto table_result = catalog_.GetTable(query.table);
   if (!table_result.ok()) return table_result.status();
@@ -1153,9 +1120,7 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   // and forced-plan queries bypass the cache entirely (EXPLAIN wants
   // this execution's plan text; a forced shape wants this execution's
   // work — serving either from cache would answer a different
-  // question). The epoch is read once up front; mutators bump it under
-  // the exclusive reconfiguration lock, so it cannot move mid-query.
-  const uint64_t cache_epoch = cache_epoch_.load(std::memory_order_relaxed);
+  // question).
   const bool result_cacheable = result_cache_ != nullptr && !query.explain &&
                                 options_.force_plan == PlanForce::kAuto;
   bool result_cache_fault = false;
@@ -1170,21 +1135,18 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
       if (result_cache_->Lookup(cache_key, cache_epoch, &hit)) {
         // Bit-identical to execution by the differential cache-
         // equivalence contract (docs/CACHING.md): results and
-        // interpretations are the fill-time values, `plan` reports the
-        // shape that produced them, and stats/trace are this call's
-        // own (nothing executed, so the phase timings stay zero).
+        // interpretations, `plan` and `watermark` are the fill-time
+        // values, and the trace is this call's own (nothing executed).
         output.results = std::move(hit.results);
         output.interpretations = std::move(hit.interpretations);
         output.plan = hit.plan;
-        output.stats.result_cache_hit = true;
+        output.watermark = hit.watermark;
         query_span.AddAttribute("result_cache", "hit");
         query_span.AddAttribute("plan", PlanKindName(output.plan));
-        output.stats.total_ms = total.ElapsedMillis();
         if (options_.trace_level >= obs::TraceLevel::kStats) {
           OPINEDB_METRIC_COUNT("engine.queries", 1);
           OPINEDB_METRIC_COUNT("engine.cache.hit", 1);
-          OPINEDB_METRIC_LATENCY_MS("engine.total_ms",
-                                    output.stats.total_ms);
+          OPINEDB_METRIC_LATENCY_MS("engine.total_ms", total.ElapsedMillis());
           OPINEDB_METRIC_GAUGE_SET(
               "engine.cache.bytes",
               static_cast<double>(result_cache_->bytes()));
@@ -1222,7 +1184,6 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   if (query.explain) {
     // EXPLAIN plans but does not execute.
     output.plan_text = ExplainPlan(query, logical, physical, planner_context);
-    output.stats.total_ms = total.ElapsedMillis();
     return output;
   }
 
@@ -1265,7 +1226,7 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
       sentis[c] = entry.sentiment;
     }
   }
-  output.stats.interpret_ms = phase.ElapsedMillis();
+  const double interpret_ms = phase.ElapsedMillis();
 
   // -------------------------------------------------------------- run.
   ExecContext ctx;
@@ -1279,6 +1240,8 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   ctx.sentis = &sentis;
   ctx.num_entities = corpus_.num_entities();
   ctx.deadline = deadline;
+  double scoring_ms = 0.0;
+  double rank_ms = 0.0;
   phase.Reset();
   try {
     if (physical.kind == PlanKind::kFilteredScan) {
@@ -1287,11 +1250,11 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
     }
     Status status = SubjectiveScoreOp().Run(&ctx);
     if (!status.ok()) return status;
-    output.stats.scoring_ms = phase.ElapsedMillis();
+    scoring_ms = phase.ElapsedMillis();
     phase.Reset();
     status = RankOp().Run(&ctx);
     if (!status.ok()) return status;
-    output.stats.rank_ms = phase.ElapsedMillis();
+    rank_ms = phase.ElapsedMillis();
   } catch (const std::exception& e) {
     // Backstop: no exception escapes ExecuteQuery. Anything the
     // per-stage fallbacks could not absorb becomes a Status.
@@ -1299,6 +1262,7 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
                             e.what());
   }
   output.partial = ctx.partial;
+  output.watermark = ctx.partial ? ctx.watermark : ctx.num_candidates();
   output.degraded = degraded || result_cache_fault ||
                     ctx.degraded.load(std::memory_order_relaxed);
   if (output.partial) {
@@ -1306,31 +1270,20 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
     OPINEDB_METRIC_COUNT("engine.deadline_exceeded", 1);
   }
   if (output.degraded) query_span.AddAttribute("degraded", true);
-  output.stats.total_ms = total.ElapsedMillis();
-  // Publish the per-query façade numbers to the process registry (the
-  // registry-backed equivalents of ExecutionStats).
   if (options_.trace_level >= obs::TraceLevel::kStats) {
     OPINEDB_METRIC_COUNT("engine.queries", 1);
-    OPINEDB_METRIC_COUNT("engine.entities_scored",
-                         output.stats.entities_scored);
-    OPINEDB_METRIC_COUNT("engine.cache_hits", output.stats.cache_hits);
-    OPINEDB_METRIC_COUNT("engine.cache_misses", output.stats.cache_misses);
-    OPINEDB_METRIC_LATENCY_MS("engine.interpret_ms",
-                              output.stats.interpret_ms);
-    OPINEDB_METRIC_LATENCY_MS("engine.scoring_ms", output.stats.scoring_ms);
-    OPINEDB_METRIC_LATENCY_MS("engine.rank_ms", output.stats.rank_ms);
-    OPINEDB_METRIC_LATENCY_MS("engine.total_ms", output.stats.total_ms);
+    OPINEDB_METRIC_COUNT("engine.entities_scored", output.watermark);
+    OPINEDB_METRIC_LATENCY_MS("engine.interpret_ms", interpret_ms);
+    OPINEDB_METRIC_LATENCY_MS("engine.scoring_ms", scoring_ms);
+    OPINEDB_METRIC_LATENCY_MS("engine.rank_ms", rank_ms);
+    OPINEDB_METRIC_LATENCY_MS("engine.total_ms", total.ElapsedMillis());
     // Served-state gauges (see the span attributes above): operators
     // scrape these to tell which snapshot generation and which cache
     // epoch answered recent queries.
     OPINEDB_METRIC_GAUGE_SET("storage.snapshot.generation",
                              static_cast<double>(snapshot_generation));
-    if (degree_cache_ != nullptr) {
-      OPINEDB_METRIC_GAUGE_SET(
-          "engine.cache_epoch",
-          static_cast<double>(degree_cache_->epoch()));
-    }
-    if (result_cache_ != nullptr || interp_cache_ != nullptr) {
+    if (result_cache_ != nullptr || interp_cache_ != nullptr ||
+        degree_cache_ != nullptr) {
       OPINEDB_METRIC_GAUGE_SET("engine.cache.epoch",
                                static_cast<double>(cache_epoch));
     }
@@ -1359,6 +1312,7 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
       value.results = output.results;
       value.interpretations = output.interpretations;
       value.plan = output.plan;
+      value.watermark = output.watermark;
       const size_t evicted =
           result_cache_->Insert(cache_key, cache_epoch, std::move(value));
       if (options_.trace_level >= obs::TraceLevel::kStats) {

@@ -70,9 +70,6 @@ struct EngineOptions {
   /// into QueryResult::trace. Tracing never perturbs results: parallel
   /// executions stay bit-identical to serial at every level.
   obs::TraceLevel trace_level = obs::TraceLevel::kOff;
-  /// Ring-buffer capacity (spans per query) at trace_level == kFull;
-  /// overflow keeps the newest spans.
-  size_t trace_capacity = 256;
   /// Physical-plan override for ExecuteQuery (kAuto = cost-based
   /// choice). Forcing a shape the query is not eligible for falls back
   /// to the automatic choice; every shape is bit-identical, so this
@@ -81,42 +78,9 @@ struct EngineOptions {
   /// Result / interpretation caching (both layers default OFF; see
   /// docs/CACHING.md). Reconfigurable at runtime via ConfigureCaches.
   cache::CacheConfig cache;
-  /// Shard count of an attached DegreeCache built with the default
-  /// constructor argument (lock striping for concurrent serving).
-  size_t degree_cache_shards = 16;
 };
 
-/// Per-query observability façade (threads, work, cache traffic and
-/// per-phase wall time), threaded through QueryResult so parallel
-/// speedups are measurable from the outside. These fields are the
-/// query-local view of the same quantities the engine publishes to the
-/// process-wide obs::MetricsRegistry (counters `engine.*`, histograms
-/// `engine.*_ms`) when EngineOptions::trace_level >= kStats; the struct
-/// is kept for source compatibility with pre-observability callers.
-struct ExecutionStats {
-  /// Concurrent strands used (1 = serial path).
-  size_t threads_used = 1;
-  /// Entities scored (the size of the parallel fan-out).
-  size_t entities_scored = 0;
-  /// Subjective degree lists served by the attached DegreeCache.
-  size_t cache_hits = 0;
-  /// Subjective degree lists computed from scratch this query.
-  size_t cache_misses = 0;
-  /// Predicate interpretation + query embedding (serial prologue).
-  double interpret_ms = 0.0;
-  /// Per-entity degree-of-truth computation (the parallel phase).
-  double scoring_ms = 0.0;
-  /// WHERE-tree combination, filtering and ranking (serial epilogue).
-  double rank_ms = 0.0;
-  /// End-to-end wall time of ExecuteQuery.
-  double total_ms = 0.0;
-  /// True when the whole result was served from the result cache (the
-  /// per-phase timings above are then all zero: nothing executed).
-  bool result_cache_hit = false;
-};
-
-/// Per-call serving controls. Default-constructed = no limits, which is
-/// also the behaviour of the control-less Execute overloads.
+/// Per-call serving controls. Default-constructed = no limits.
 struct QueryControl {
   /// Wall-clock budget and/or cancellation token polled at operator
   /// checkpoints (per condition, per chunk). When it
@@ -142,15 +106,19 @@ struct QueryResult {
   /// For each condition index, the interpretation used (objective
   /// conditions get a default-constructed entry).
   std::vector<PredicateInterpretation> interpretations;
-  /// How the query ran (threads, cache traffic, per-phase wall time).
-  ExecutionStats stats;
+  /// Candidate entities scored exactly — for a partial result, the
+  /// prefix the ranking is consistent over. Part of the answer (a
+  /// result-cache hit restores the fill's value); how the query ran is
+  /// in `trace` and the metrics registry.
+  size_t watermark = 0;
   /// The physical plan shape the planner chose (see PlanKindName).
   PlanKind plan = PlanKind::kDenseScan;
   /// Rendered plan text; filled only for EXPLAIN statements (which
   /// plan but do not execute, leaving `results` empty).
   std::string plan_text;
-  /// Per-query span ring buffer (null unless trace_level == kFull).
-  /// Render with trace->RenderTree() or trace->ToJson().
+  /// Per-query span ring buffer (null unless trace_level == kFull;
+  /// overflow keeps the newest spans). Render with trace->RenderTree()
+  /// or trace->ToJson().
   std::shared_ptr<obs::TraceBuffer> trace;
   /// True when the QueryControl deadline (or cancellation token) stopped
   /// execution early. The ranking is then prefix-consistent: it equals
@@ -199,20 +167,18 @@ class OpineDb {
       uint64_t seed = 42);
 
   /// Parses and executes a subjective SQL string.
-  Result<QueryResult> Execute(const std::string& sql) const;
+  Result<QueryResult> Execute(
+      const std::string& sql,
+      const QueryControl& control = QueryControl()) const;
 
-  /// Executes a parsed query.
-  Result<QueryResult> ExecuteQuery(const SubjectiveQuery& query) const;
-
-  /// Deadline/cancellation-aware variants: `control` carries a wall-
-  /// clock budget and/or a cancellation token that the engine polls at
-  /// operator checkpoints. An over-budget query returns early with
+  /// Executes a parsed query. `control` carries a wall-clock budget
+  /// and/or a cancellation token that the engine polls at operator
+  /// checkpoints. An over-budget query returns early with
   /// QueryResult::partial = true and whatever prefix-consistent top-k
   /// survived, never an error. `control` must outlive the call.
-  Result<QueryResult> Execute(const std::string& sql,
-                              const QueryControl& control) const;
-  Result<QueryResult> ExecuteQuery(const SubjectiveQuery& query,
-                                   const QueryControl& control) const;
+  Result<QueryResult> ExecuteQuery(
+      const SubjectiveQuery& query,
+      const QueryControl& control = QueryControl()) const;
 
   /// Degree of truth of one interpreted atom for one entity.
   double AtomDegreeOfTruth(const AtomInterpretation& atom,
@@ -255,12 +221,11 @@ class OpineDb {
   /// assigned by the corpus in append order.
   ///
   /// Cache maintenance is surgical rather than wholesale: the cache
-  /// epoch is bumped once (result-cache entries lazily expire — a
-  /// ranking may depend on every entity, so per-entity invalidation is
-  /// unsound there), interpretation-cache entries are re-derived and
-  /// re-tagged at the new epoch, and an attached degree cache is patched
-  /// in place for just the touched entities (DegreeCache::
-  /// RefreshAfterIngest).
+  /// epoch is bumped once, so result- and interpretation-cache entries
+  /// lazily expire (a ranking may depend on every entity, so per-entity
+  /// invalidation is unsound there; an interpretation is re-derived on
+  /// its next lookup), and an attached degree cache is patched in place
+  /// for just the touched entities (DegreeCache::RefreshAfterIngest).
   ///
   /// When a WAL is enabled (EnableWal) the batch is journaled —
   /// append + fsync — before any state changes; an error from the

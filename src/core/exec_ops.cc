@@ -113,12 +113,13 @@ Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
       // The cache computes misses through the same per-entity code path,
       // so cached and freshly-computed lists are bit-identical.
       try {
-        if (ctx->cache->Contains(condition.subjective)) {
-          ++ctx->output->stats.cache_hits;
-          condition_span.AddAttribute("source", "cache_hit");
-        } else {
-          ++ctx->output->stats.cache_misses;
-          condition_span.AddAttribute("source", "cache_miss");
+        // The cache counts its own traffic; the probe only labels the
+        // span, so an untraced query skips it.
+        if (condition_span.active()) {
+          condition_span.AddAttribute(
+              "source", ctx->cache->Contains(condition.subjective)
+                            ? "cache_hit"
+                            : "cache_miss");
         }
         const std::vector<double>* cached =
             ctx->cache->TryDegrees(condition.subjective, deadline);
@@ -144,7 +145,6 @@ Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
         condition_span.AddAttribute("source", "cache_fallback");
       }
     } else {
-      ++ctx->output->stats.cache_misses;
       condition_span.AddAttribute("source", "computed");
     }
     auto& list = ctx->computed[c];
@@ -219,9 +219,6 @@ Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
     score_span.AddAttribute("partial", true);
     score_span.AddAttribute("watermark", static_cast<uint64_t>(watermark));
   }
-  score_span.End();
-  ctx->output->stats.entities_scored =
-      ctx->partial ? ctx->watermark : ctx->num_candidates();
   return Status::OK();
 }
 

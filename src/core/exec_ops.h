@@ -28,7 +28,7 @@ struct ExecContext {
   const storage::Table* table = nullptr;
   /// Attached degree cache; nullptr when none.
   DegreeCache* cache = nullptr;
-  /// Destination: interpretations (already filled), stats, results.
+  /// Destination: interpretations (already filled), results.
   QueryResult* output = nullptr;
   /// Per-condition query representations from the interpret prologue
   /// (indexed by condition; objective slots are defaulted).

@@ -37,19 +37,6 @@ void AppendInterpretation(const PredicateInterpretation& interp,
   *out += "]}";
 }
 
-void AppendStats(const ExecutionStats& stats, std::string* out) {
-  *out += "{\"threads_used\": " + std::to_string(stats.threads_used);
-  *out += ", \"entities_scored\": " + std::to_string(stats.entities_scored);
-  *out += ", \"cache_hits\": " + std::to_string(stats.cache_hits);
-  *out += ", \"cache_misses\": " + std::to_string(stats.cache_misses);
-  *out += ", \"result_cache_hit\": ";
-  *out += stats.result_cache_hit ? "true" : "false";
-  *out += ", \"interpret_ms\": " + JsonDouble(stats.interpret_ms);
-  *out += ", \"scoring_ms\": " + JsonDouble(stats.scoring_ms);
-  *out += ", \"rank_ms\": " + JsonDouble(stats.rank_ms);
-  *out += ", \"total_ms\": " + JsonDouble(stats.total_ms) + "}";
-}
-
 }  // namespace
 
 const char* InterpretMethodName(InterpretMethod method) {
@@ -80,7 +67,7 @@ std::string ResultToJson(const QueryResult& result,
   out += result.partial ? "true" : "false";
   out += ",\n  \"degraded\": ";
   out += result.degraded ? "true" : "false";
-  out += ",\n  \"watermark\": " + std::to_string(result.stats.entities_scored);
+  out += ",\n  \"watermark\": " + std::to_string(result.watermark);
   out += ",\n  \"plan\": ";
   JsonEscapeAppend(PlanKindName(result.plan), &out);
   if (!result.plan_text.empty()) {
@@ -94,10 +81,6 @@ std::string ResultToJson(const QueryResult& result,
       AppendInterpretation(result.interpretations[i], &out);
     }
     out += result.interpretations.empty() ? "]" : "\n  ]";
-  }
-  if (options.include_stats) {
-    out += ",\n  \"stats\": ";
-    AppendStats(result.stats, &out);
   }
   if (options.include_trace && result.trace != nullptr) {
     out += ",\n  \"trace\": ";

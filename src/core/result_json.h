@@ -10,14 +10,11 @@ namespace opinedb::core {
 /// Controls which sections ResultToJson renders. The default keeps the
 /// document fully deterministic: a query executed twice (or embedded vs
 /// over HTTP) renders byte-identical JSON, which is the serving layer's
-/// bit-identity contract (tests/server_test.cc). Stats (wall times) and
-/// traces (span timings) vary run to run, so both are opt-in.
+/// bit-identity contract (tests/server_test.cc). Traces (span timings)
+/// vary run to run, so they are opt-in.
 struct ResultJsonOptions {
   /// Per-condition interpretations (method, confidence, A.m atoms).
   bool include_interpretations = true;
-  /// ExecutionStats: threads, work counters and per-phase wall times.
-  /// Nondeterministic — excluded from the bit-identity surface.
-  bool include_stats = false;
   /// The per-query span tree (requires trace_level == kFull; silently
   /// omitted when QueryResult::trace is null). Nondeterministic.
   bool include_trace = false;
@@ -37,14 +34,13 @@ const char* InterpretMethodName(InterpretMethod method);
 ///     "plan": "dense_scan",
 ///     "plan_text": "...",          // EXPLAIN statements only
 ///     "interpretations": [...],    // optional
-///     "stats": {...},              // optional, nondeterministic
 ///     "trace": [...]               // optional, nondeterministic
 ///   }
 ///
-/// `watermark` is the number of entities actually scored — for a
-/// partial result it is the exact prefix the ranking is consistent
-/// over. Scores and confidences render with %.17g, so parsing the
-/// document recovers every double bit-exactly.
+/// `watermark` is QueryResult::watermark, the number of entities
+/// actually scored — for a partial result it is the exact prefix the
+/// ranking is consistent over. Scores and confidences render with
+/// %.17g, so parsing the document recovers every double bit-exactly.
 std::string ResultToJson(const QueryResult& result,
                          const ResultJsonOptions& options =
                              ResultJsonOptions());

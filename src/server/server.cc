@@ -17,7 +17,7 @@ namespace opinedb::server {
 namespace {
 
 /// Pulls a boolean request flag from the query string or the body
-/// ("?stats=1" and {"stats": true} are equivalent).
+/// ("?trace=1" and {"trace": true} are equivalent).
 bool RequestFlag(const HttpRequest& request, const JsonValue& body,
                  std::string_view key) {
   if (request.QueryFlag(key)) return true;
@@ -181,7 +181,6 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
   }
 
   core::ResultJsonOptions json_options;
-  json_options.include_stats = RequestFlag(request, *body, "stats");
   json_options.include_trace = RequestFlag(request, *body, "trace");
   if (const JsonValue* member = body->Find("interpretations")) {
     json_options.include_interpretations = member->AsBool(true);

@@ -52,9 +52,9 @@ struct QueryServerOptions {
 
 /// The OpineDB front door: routes HTTP onto one engine.
 ///
-///   POST /query                  {"sql": ..., "deadline_ms"?, "stats"?}
+///   POST /query                  {"sql": ..., "deadline_ms"?, "trace"?}
 ///                                → core::ResultToJson document; honors
-///                                  ?trace=1 / ?stats=1 request flags
+///                                  the ?trace=1 request flag
 ///   POST /explain                {"sql": ...} → {"plan_text": ...}
 ///   GET  /metrics                MetricsRegistry::Global().ToJson()
 ///   GET  /healthz                {"status","entities",

@@ -25,6 +25,7 @@
 #include "core/engine.h"
 #include "core/planner.h"
 #include "core/query.h"
+#include "core/result_json.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
 #include "obs/metrics.h"
@@ -374,15 +375,16 @@ void ExpectBitIdentical(const core::QueryResult& reference,
 TEST_F(CacheEngineTest, HitIsBitIdenticalAcrossTraceLevels) {
   auto fill = db().Execute(Sql());
   ASSERT_TRUE(fill.ok()) << fill.status().ToString();
-  EXPECT_FALSE(fill->stats.result_cache_hit);
+  EXPECT_EQ(db().result_cache()->hits(), 0u);
   ASSERT_EQ(db().result_cache()->size(), 1u);
   for (const auto level :
        {obs::TraceLevel::kOff, obs::TraceLevel::kStats,
         obs::TraceLevel::kFull}) {
     db().SetTraceLevel(level);
+    const uint64_t hits_before = db().result_cache()->hits();
     auto hit = db().Execute(Sql());
     ASSERT_TRUE(hit.ok()) << hit.status().ToString();
-    EXPECT_TRUE(hit->stats.result_cache_hit);
+    EXPECT_EQ(db().result_cache()->hits(), hits_before + 1);
     EXPECT_EQ(hit->plan, fill->plan);
     ExpectBitIdentical(*fill, *hit);
     ASSERT_EQ(fill->interpretations.size(), hit->interpretations.size());
@@ -396,13 +398,32 @@ TEST_F(CacheEngineTest, HitIsBitIdenticalAcrossTraceLevels) {
   db().SetTraceLevel(obs::TraceLevel::kOff);
 }
 
+// A hit serves the fill's bytes: the rendered document — watermark
+// included — is the same whether the answer was executed or cached,
+// for a dense scan and for a filtered scan that scores fewer entities.
+TEST_F(CacheEngineTest, HitRendersTheSameJsonAsItsFill) {
+  const std::string filtered =
+      "select * from hotels where price_pn < 300 and \"" +
+      artifacts_->pool[0].text + "\" limit 5";
+  for (const std::string& sql : {Sql(), filtered}) {
+    SCOPED_TRACE(sql);
+    auto fill = db().Execute(sql);
+    ASSERT_TRUE(fill.ok()) << fill.status().ToString();
+    const uint64_t hits_before = db().result_cache()->hits();
+    auto hit = db().Execute(sql);
+    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+    ASSERT_EQ(db().result_cache()->hits(), hits_before + 1);
+    EXPECT_GT(hit->watermark, 0u);
+    EXPECT_EQ(core::ResultToJson(*fill), core::ResultToJson(*hit));
+  }
+}
+
 TEST_F(CacheEngineTest, ExplainBypassesTheResultCache) {
   auto fill = db().Execute(Sql());
   ASSERT_TRUE(fill.ok()) << fill.status().ToString();
   const uint64_t hits_before = db().result_cache()->hits();
   auto explain = db().Execute("explain " + Sql());
   ASSERT_TRUE(explain.ok()) << explain.status().ToString();
-  EXPECT_FALSE(explain->stats.result_cache_hit);
   EXPECT_FALSE(explain->plan_text.empty());
   EXPECT_TRUE(explain->results.empty());
   // Neither served from the cache nor inserted into it.
@@ -418,7 +439,6 @@ TEST_F(CacheEngineTest, ForcedPlansBypassTheResultCache) {
   const uint64_t hits_before = db().result_cache()->hits();
   auto forced = db().Execute(Sql());
   ASSERT_TRUE(forced.ok()) << forced.status().ToString();
-  EXPECT_FALSE(forced->stats.result_cache_hit);
   EXPECT_EQ(db().result_cache()->hits(), hits_before);
   EXPECT_EQ(db().result_cache()->size(), 1u);
   // Forced execution is still bit-identical to the cached fill (plan
@@ -439,7 +459,7 @@ TEST_F(CacheEngineTest, PartialResultsAreNeverCached) {
   // partial ranking.
   auto full = db().Execute(Sql());
   ASSERT_TRUE(full.ok()) << full.status().ToString();
-  EXPECT_FALSE(full->stats.result_cache_hit);
+  EXPECT_EQ(db().result_cache()->hits(), 0u);
   EXPECT_FALSE(full->partial);
 }
 
@@ -483,6 +503,27 @@ TEST_F(CacheEngineTest, EpochBumpInvalidatesWholesale) {
   ASSERT_GT(db().result_cache()->size(), 0u);
   ASSERT_GT(db().interpretation_cache()->size(), 0u);
   const uint64_t epoch_before = db().cache_epoch();
+  // Reconfiguring at runtime is not a data mutation: the epoch stays,
+  // a live interpretation layer keeps its warm entries, the result
+  // layer is rebuilt empty, and a disabled layer is created on demand.
+  const size_t interp_resident = db().interpretation_cache()->size();
+  cache::CacheConfig config = db().options().cache;
+  config.enable_interpretation = false;
+  db().ConfigureCaches(config);
+  EXPECT_EQ(db().interpretation_cache(), nullptr);
+  config.enable_interpretation = true;
+  db().ConfigureCaches(config);
+  ASSERT_NE(db().interpretation_cache(), nullptr);
+  EXPECT_EQ(db().interpretation_cache()->size(), 0u);
+  ASSERT_TRUE(db().Execute(Sql()).ok());
+  EXPECT_EQ(db().interpretation_cache()->size(), interp_resident);
+  db().ConfigureCaches(config);
+  EXPECT_EQ(db().cache_epoch(), epoch_before);
+  EXPECT_EQ(db().interpretation_cache()->size(), interp_resident);
+  ASSERT_NE(db().result_cache(), nullptr);
+  EXPECT_EQ(db().result_cache()->size(), 0u);
+  ASSERT_TRUE(db().Execute(Sql()).ok());
+  ASSERT_GT(db().result_cache()->size(), 0u);
   const core::AggregationOptions original = db().options().aggregation;
   core::AggregationOptions changed = original;
   changed.fractional = !original.fractional;
@@ -492,9 +533,10 @@ TEST_F(CacheEngineTest, EpochBumpInvalidatesWholesale) {
   EXPECT_EQ(db().interpretation_cache()->size(), 0u);
   // The post-bump serving agrees with a cache-free engine over the new
   // summaries (then restore fixture state).
+  const uint64_t hits_before = db().result_cache()->hits();
   auto after = db().Execute(Sql());
   ASSERT_TRUE(after.ok()) << after.status().ToString();
-  EXPECT_FALSE(after->stats.result_cache_hit);
+  EXPECT_EQ(db().result_cache()->hits(), hits_before);
   db().ConfigureCaches(cache::CacheConfig());
   auto cache_free = db().Execute(Sql());
   ASSERT_TRUE(cache_free.ok()) << cache_free.status().ToString();

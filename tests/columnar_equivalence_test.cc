@@ -8,9 +8,9 @@
 // fixture (OPINEDB_SCALE_TEST_ENTITIES entities; CI runs the Release
 // sweep at 100k and the sanitizer sweeps at 20k). Also covers the
 // use_markers = false ablation, a two-table catalog, the ColumnarTable
-// predicate sweep cell-by-cell against BoundColumnPredicate::Matches,
-// the InstallSummaries validation rules, and the runtime cache-shard
-// knobs. Built as its own binary labeled `scale`.
+// predicate sweep cell-by-cell against BoundColumnPredicate::Matches
+// and the InstallSummaries validation rules. Built as its own binary
+// labeled `scale`.
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
@@ -19,8 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/interpretation_cache.h"
-#include "cache/result_cache.h"
 #include "common/rng.h"
 #include "core/columnar.h"
 #include "core/degree_cache.h"
@@ -588,55 +586,6 @@ TEST(InstallSummariesTest, ReaggregateAfterInstallIsRefused) {
                 db.summary(0, 0).unmatched_count(),
             mass_before)
       << "the installed summaries were modified by a refused Reaggregate";
-}
-
-// ------------------------------------------- Runtime shard knobs.
-
-TEST(CacheShardKnobsTest, EngineHonorsConfiguredShardCounts) {
-  eval::BuildOptions options;
-  options.generator.num_entities = 12;
-  options.generator.min_reviews_per_entity = 4;
-  options.generator.max_reviews_per_entity = 8;
-  options.seed = 77;
-  options.generator.seed = 77;
-  options.predicate_pool_size = 20;
-  options.membership_training_tuples = 100;
-  options.engine.cache.enable_results = true;
-  options.engine.cache.enable_interpretation = true;
-  options.engine.cache.result_cache_shards = 4;
-  options.engine.cache.interp_cache_shards = 3;
-  options.engine.degree_cache_shards = 5;
-  auto artifacts = eval::BuildArtifacts(datagen::HotelDomain(), options);
-  core::OpineDb& db = *artifacts.db;
-
-  ASSERT_NE(db.result_cache(), nullptr);
-  EXPECT_EQ(db.result_cache()->num_shards(), 4u);
-
-  core::DegreeCache degree_cache(&db);
-  EXPECT_EQ(degree_cache.num_shards(), 5u);
-  core::DegreeCache explicit_cache(&db, 2);
-  EXPECT_EQ(explicit_cache.num_shards(), 2u);
-
-  // Reconfigure at runtime: shard counts follow the new config.
-  cache::CacheConfig config = db.options().cache;
-  config.result_cache_shards = 2;
-  config.interp_cache_shards = 7;
-  db.ConfigureCaches(config);
-  ASSERT_NE(db.result_cache(), nullptr);
-  EXPECT_EQ(db.result_cache()->num_shards(), 2u);
-
-  // Degenerate counts clamp to one shard instead of crashing.
-  cache::CacheConfig degenerate = db.options().cache;
-  degenerate.result_cache_shards = 0;
-  degenerate.interp_cache_shards = 0;
-  db.ConfigureCaches(degenerate);
-  ASSERT_NE(db.result_cache(), nullptr);
-  EXPECT_EQ(db.result_cache()->num_shards(), 1u);
-
-  cache::InterpretationCache standalone(0);
-  EXPECT_EQ(standalone.num_shards(), 1u);
-  cache::ResultCache standalone_results(1 << 20, 0);
-  EXPECT_EQ(standalone_results.num_shards(), 1u);
 }
 
 }  // namespace

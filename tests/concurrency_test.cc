@@ -5,6 +5,7 @@
 // deterministically. Run these under -DOPINEDB_SANITIZE=thread — they
 // are the race-detection gate (see docs/SANITIZERS.md).
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -174,18 +175,40 @@ void ExpectIdenticalResults(const core::QueryResult& serial,
   }
 }
 
+/// The spans of a query run at trace level full, by name (the last one
+/// recorded wins; every name looked up here occurs once per query).
+std::map<std::string, obs::SpanRecord> SpansByName(
+    const core::QueryResult& result) {
+  std::map<std::string, obs::SpanRecord> spans;
+  if (result.trace == nullptr) return spans;
+  for (auto& span : result.trace->Snapshot()) spans[span.name] = span;
+  return spans;
+}
+
+/// The `threads` attribute of the query's root span: the strands the
+/// engine ran it on.
+std::string ThreadsOf(core::OpineDb& db, const std::string& sql) {
+  db.SetTraceLevel(obs::TraceLevel::kFull);
+  auto traced = db.Execute(sql);
+  db.SetTraceLevel(obs::TraceLevel::kOff);
+  EXPECT_TRUE(traced.ok()) << traced.status().ToString();
+  if (!traced.ok()) return "";
+  auto spans = SpansByName(*traced);
+  return std::string(spans["execute_query"].Attribute("threads"));
+}
+
 TEST_P(ConcurrencyTest, ParallelQueriesBitIdenticalToSerial) {
   core::OpineDb& db = Fixture(GetParam());
   for (const auto& sql : Queries(GetParam())) {
     db.SetNumThreads(1);
     auto serial = db.Execute(sql);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    EXPECT_EQ(serial->stats.threads_used, 1u);
+    EXPECT_EQ(ThreadsOf(db, sql), "1");
     for (size_t threads : {2, 4, 8}) {
       db.SetNumThreads(threads);
       auto parallel = db.Execute(sql);
       ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      EXPECT_EQ(parallel->stats.threads_used, threads);
+      EXPECT_EQ(ThreadsOf(db, sql), std::to_string(threads));
       ExpectIdenticalResults(*serial, *parallel);
     }
   }
@@ -216,18 +239,25 @@ TEST_P(ConcurrencyTest, DegreeCacheContentsBitIdenticalToSerial) {
   db.SetNumThreads(1);
 }
 
-TEST_P(ConcurrencyTest, ExecutionStatsArepopulated) {
+TEST_P(ConcurrencyTest, TraceAndWatermarkArePopulated) {
   core::OpineDb& db = Fixture(GetParam());
   db.SetNumThreads(2);
+  db.SetTraceLevel(obs::TraceLevel::kFull);
   auto result = db.Execute(Queries(GetParam()).front());
+  db.SetTraceLevel(obs::TraceLevel::kOff);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->stats.threads_used, 2u);
-  EXPECT_EQ(result->stats.entities_scored, db.corpus().num_entities());
-  // Without an attached cache every subjective list is a miss.
-  EXPECT_EQ(result->stats.cache_hits, 0u);
-  EXPECT_EQ(result->stats.cache_misses, 1u);
-  EXPECT_GE(result->stats.total_ms, 0.0);
-  EXPECT_GE(result->stats.scoring_ms, 0.0);
+  EXPECT_EQ(result->watermark, db.corpus().num_entities());
+  auto spans = SpansByName(*result);
+  ASSERT_EQ(spans.count("execute_query"), 1u);
+  EXPECT_EQ(spans["execute_query"].Attribute("threads"), "2");
+  // Without an attached cache every subjective list is computed.
+  ASSERT_EQ(spans.count("score.condition"), 1u);
+  EXPECT_EQ(spans["score.condition"].Attribute("source"), "computed");
+  for (const char* phase :
+       {"execute_query", "interpret", "score", "combine_rank"}) {
+    ASSERT_EQ(spans.count(phase), 1u) << phase;
+    EXPECT_GE(spans[phase].duration_ms, 0.0) << phase;
+  }
   db.SetNumThreads(1);
 }
 
@@ -242,11 +272,12 @@ TEST_P(ConcurrencyTest, AttachedCacheServesHitsWithIdenticalResults) {
   db.AttachDegreeCache(&cache);
   auto cold = db.Execute(sql);
   ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(cold->stats.cache_misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 1u);
   auto warm = db.Execute(sql);
   ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->stats.cache_hits, 1u);
-  EXPECT_EQ(warm->stats.cache_misses, 0u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
   db.AttachDegreeCache(nullptr);
   db.SetNumThreads(1);
 

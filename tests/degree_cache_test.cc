@@ -87,12 +87,13 @@ TEST_F(DegreeCacheTest, TopKAgreesWithFullScanOnRandomizedPredicates) {
     ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
     db().AttachDegreeCache(&cache);
     auto fill = db().Execute(sql);  // Makes every list resident.
+    const core::DegreeCache::CacheStats before = cache.stats();
     auto warm = db().Execute(sql);
     db().AttachDegreeCache(nullptr);
     ASSERT_TRUE(fill.ok()) << fill.status().ToString();
     ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-    EXPECT_EQ(warm->stats.cache_hits, width);
-    EXPECT_EQ(warm->stats.cache_misses, 0u);
+    EXPECT_EQ(cache.stats().hits - before.hits, width);
+    EXPECT_EQ(cache.stats().misses - before.misses, 0u);
     ASSERT_EQ(uncached->results.size(), warm->results.size());
     for (size_t i = 0; i < warm->results.size(); ++i) {
       EXPECT_EQ(uncached->results[i].entity, warm->results[i].entity)

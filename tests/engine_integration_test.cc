@@ -236,9 +236,9 @@ TEST_F(EngineIntegrationTest, LimitZeroReturnsNoRows) {
       db().Execute("select * from hotels where \"clean room\" limit 0");
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->results.empty());
-  // The query still ran: interpretations and stats are populated.
+  // The query still ran: interpretations and the watermark are populated.
   EXPECT_EQ(result->interpretations.size(), 1u);
-  EXPECT_EQ(result->stats.entities_scored, db().corpus().num_entities());
+  EXPECT_EQ(result->watermark, db().corpus().num_entities());
 }
 
 TEST_F(EngineIntegrationTest, LimitBeyondEntityCountReturnsAllPositives) {
@@ -281,7 +281,7 @@ TEST_F(EngineIntegrationTest, ObjectivePushdownSkipsSubjectiveScoring) {
     if (entity.city == "london" && entity.price < 300) ++survivors;
   }
   ASSERT_LT(survivors, domain().entities.size());
-  EXPECT_EQ(result->stats.entities_scored, survivors);
+  EXPECT_EQ(result->watermark, survivors);
 }
 
 TEST_F(EngineIntegrationTest, ExplainPlansWithoutExecuting) {
@@ -298,7 +298,7 @@ TEST_F(EngineIntegrationTest, ExplainPlansWithoutExecuting) {
   EXPECT_NE(result->plan_text.find("ObjectiveFilter(1 hard predicates)"),
             std::string::npos);
   // EXPLAIN never scores anything.
-  EXPECT_EQ(result->stats.entities_scored, 0u);
+  EXPECT_EQ(result->watermark, 0u);
 }
 
 TEST_F(EngineIntegrationTest, PlainQueriesLeavePlanTextEmpty) {

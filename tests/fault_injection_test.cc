@@ -353,9 +353,10 @@ TEST_F(FaultInjectionTest, FaultsNeverPoisonTheResultCache) {
   EXPECT_FALSE(repaired->degraded);
   ExpectBitIdentical(*reference, *repaired);
   EXPECT_EQ(db().result_cache()->size(), 1u);
+  const uint64_t hits_before = db().result_cache()->hits();
   auto hit = db().Execute(sql);
   ASSERT_TRUE(hit.ok()) << hit.status().ToString();
-  EXPECT_TRUE(hit->stats.result_cache_hit);
+  EXPECT_EQ(db().result_cache()->hits(), hits_before + 1);
   ExpectBitIdentical(*reference, *hit);
   db().ConfigureCaches(cache::CacheConfig());
 }
@@ -402,11 +403,12 @@ TEST_F(FaultInjectionTest, ResultCacheLookupFaultFallsBackToExecution) {
   on.enable_results = true;
   db().ConfigureCaches(on);
   fault::Arm("cache.result_lookup", 1);
+  const uint64_t hits_before = db().result_cache()->hits();
   auto run = db().Execute(sql);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_GT(fault::HitCount("cache.result_lookup"), 0u);
   EXPECT_TRUE(run->degraded);
-  EXPECT_FALSE(run->stats.result_cache_hit);
+  EXPECT_EQ(db().result_cache()->hits(), hits_before);
   ExpectBitIdentical(*reference, *run);
   EXPECT_EQ(db().result_cache()->size(), 0u);
   fault::DisarmAll();

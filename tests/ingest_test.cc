@@ -7,8 +7,10 @@
 //     answer — the additive fold is exact, not approximate;
 //  2. surgical cache maintenance: per-entity data epochs move only for
 //     touched entities, the attached degree cache stays warm for
-//     untouched predicates/entities, and refused mutations leave the
-//     epoch alone (min_reviewer_reviews, unknown entities);
+//     untouched predicates/entities, interpretation-cache entries expire
+//     with the epoch and are re-derived on their next lookup, and
+//     refused mutations leave the epoch alone (min_reviewer_reviews,
+//     unknown entities);
 //  3. durability: EnableWal → append → reopen-from-snapshot → EnableWal
 //     replays the tail bit-identically; Checkpoint folds the log into
 //     the next snapshot generation and retires the segment; the
@@ -296,6 +298,46 @@ TEST_F(IngestTest, DegreeCacheStaysWarmForUntouchedPredicates) {
   db.AttachDegreeCache(nullptr);
 }
 
+// The ingest leaves interpretation-cache entries behind at the old
+// epoch: a resident key misses, and the next query re-derives it from
+// the post-ingest interpreter, answering exactly what an engine that
+// never cached answers.
+TEST_F(IngestTest, InterpretationCacheRederivesLazilyAfterAppend) {
+  eval::DomainArtifacts cached = BuildEngine();
+  eval::DomainArtifacts bare = BuildEngine();
+  cache::CacheConfig on;
+  on.enable_interpretation = true;
+  cached.db->ConfigureCaches(on);
+  const cache::InterpretationCache& interp =
+      *cached.db->interpretation_cache();
+  const auto queries = PoolQueries(cached, 3);
+  for (const std::string& sql : queries) {
+    (void)MustExecute(*cached.db, sql);
+  }
+  const std::string key = NormalizePredicate(cached.pool[0].text);
+  cache::InterpretationCache::Entry entry;
+  ASSERT_TRUE(interp.Lookup(key, cached.db->cache_epoch(), &entry));
+  const size_t resident = interp.size();
+
+  const auto batch = MakeBatch(
+      71, 4, static_cast<int32_t>(cached.db->corpus().num_entities()));
+  ASSERT_TRUE(cached.db->AppendReviews(batch).ok());
+  ASSERT_TRUE(bare.db->AppendReviews(batch).ok());
+  EXPECT_FALSE(interp.Lookup(key, cached.db->cache_epoch(), &entry))
+      << "the ingest re-tagged a resident interpretation";
+  EXPECT_EQ(interp.size(), resident);
+
+  for (const std::string& sql : queries) {
+    const core::QueryResult want = MustExecute(*bare.db, sql);
+    const core::QueryResult got = MustExecute(*cached.db, sql);
+    ExpectBitIdentical(want, got, "refill: " + sql);
+    EXPECT_EQ(want.interpretations, got.interpretations) << sql;
+  }
+  EXPECT_TRUE(interp.Lookup(key, cached.db->cache_epoch(), &entry))
+      << "the query after the ingest did not refill the key";
+  EXPECT_EQ(interp.size(), resident);
+}
+
 // ------------------------------------------------- Refusal contracts.
 
 TEST_F(IngestTest, RetroactiveReviewerFilterRefusesAppend) {
@@ -524,16 +566,20 @@ TEST_F(IngestTest, DegradedRederivationDoesNotSurviveCheckpoint) {
   ASSERT_TRUE(live.db->SaveDatabase(dir()).ok());
   ASSERT_TRUE(live.db->EnableWal(dir()).ok());
 
-  // The ingest's eager re-derivation of the one resident key degrades,
-  // so the entry stays behind at the old epoch: a miss from now on.
-  fault::Arm("interpret.w2v", 1);
+  // The ingest leaves the one resident key at the old epoch, and its
+  // re-derivation by the next query degrades, so nothing refills it: a
+  // miss from now on.
   ASSERT_TRUE(live.db
                   ->AppendReviews(MakeBatch(
                       70, 2,
                       static_cast<int32_t>(live.db->corpus().num_entities())))
                   .ok());
+  fault::Arm("interpret.w2v", 1);
+  const core::QueryResult degraded =
+      MustExecute(*live.db, PoolQueries(live, 1)[0]);
   EXPECT_EQ(fault::HitCount("interpret.w2v"), 1u);
   fault::DisarmAll();
+  EXPECT_TRUE(degraded.degraded);
   cache::InterpretationCache::Entry entry;
   EXPECT_FALSE(live.db->interpretation_cache()->Lookup(
       key, live.db->cache_epoch(), &entry));

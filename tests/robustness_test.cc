@@ -84,7 +84,7 @@ TEST_F(RobustnessTest, ReaggregateInvalidatesAttachedDegreeCache) {
   auto warm = db().Execute(Sql());
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   ASSERT_GT(cache.size(), 0u);
-  const uint64_t epoch_before = cache.epoch();
+  const uint64_t epoch_before = db().cache_epoch();
 
   // Rebuild the summaries under a meaningfully different aggregation
   // policy (stricter extraction matching changes marker summaries).
@@ -96,7 +96,7 @@ TEST_F(RobustnessTest, ReaggregateInvalidatesAttachedDegreeCache) {
   // The stale lists must be gone, and borrowers must be able to see it.
   EXPECT_EQ(cache.size(), 0u)
       << "Reaggregate left stale degree lists resident in the cache";
-  EXPECT_GT(cache.epoch(), epoch_before);
+  EXPECT_GT(db().cache_epoch(), epoch_before);
 
   // End-to-end: the cached query now agrees with a cache-free run over
   // the new summaries.
@@ -222,7 +222,7 @@ TEST_F(RobustnessTest, TrainMembershipInvalidatesAttachedDegreeCache) {
   auto warm = db().Execute(Sql());
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   ASSERT_GT(cache.size(), 0u);
-  const uint64_t epoch_before = cache.epoch();
+  const uint64_t epoch_before = db().cache_epoch();
 
   const auto tuples = eval::MakeMembershipTuples(
       db(), artifacts_->domain, artifacts_->pool, 200, true, 99);
@@ -231,7 +231,7 @@ TEST_F(RobustnessTest, TrainMembershipInvalidatesAttachedDegreeCache) {
   EXPECT_EQ(cache.size(), 0u)
       << "TrainMembership left degree lists computed through the old "
          "membership model resident in the cache";
-  EXPECT_GT(cache.epoch(), epoch_before);
+  EXPECT_GT(db().cache_epoch(), epoch_before);
 
   // End-to-end: cached serving agrees with cache-free serving over the
   // retrained model.

@@ -514,27 +514,59 @@ TEST_F(ServerTest, AdminSnapshotSaveAndOpenRoundTrip) {
 
 // ---------------------------------------------- Optional sections.
 
-TEST_F(ServerTest, StatsSectionIsOptInViaFlagOrBody) {
+// Per-request numbers travel only in the trace: the old `stats` flag is
+// ignored (the document stays the deterministic one), and `trace`, as a
+// query flag or a body boolean, carries the threads, the per-condition
+// source and the phase durations; the scored count is the watermark.
+TEST_F(ServerTest, TraceSectionCarriesPerRequestNumbers) {
   server::HttpClient client = Connected();
   auto plain = client.Post("/query", QueryBody(kQueries[0]));
   ASSERT_TRUE(plain.ok());
+  ASSERT_EQ(plain->status, 200);
   EXPECT_EQ(plain->body.find("\"stats\""), std::string::npos);
-
-  auto via_body =
-      client.Post("/query", QueryBody(kQueries[0], "\"stats\": true"));
-  ASSERT_TRUE(via_body.ok());
-  EXPECT_NE(via_body->body.find("\"stats\""), std::string::npos);
-
-  auto via_query = client.Post("/query?stats=1", QueryBody(kQueries[0]));
-  ASSERT_TRUE(via_query.ok());
-  EXPECT_NE(via_query->body.find("\"stats\""), std::string::npos);
-  auto doc = server::JsonValue::Parse(via_query->body);
+  EXPECT_EQ(plain->body.find("\"trace\""), std::string::npos);
+  auto stats_flag = client.Post("/query?stats=1", QueryBody(kQueries[0]));
+  ASSERT_TRUE(stats_flag.ok());
+  EXPECT_EQ(stats_flag->body, plain->body);
+  auto doc = server::JsonValue::Parse(plain->body);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  const server::JsonValue* stats = doc->Find("stats");
-  ASSERT_NE(stats, nullptr);
-  EXPECT_EQ(stats->GetNumber("entities_scored"),
+  EXPECT_EQ(doc->GetNumber("watermark"),
             std::make_optional(static_cast<double>(
                 db().corpus().num_entities())));
+
+  db().SetTraceLevel(obs::TraceLevel::kFull);
+  const std::string threads =
+      std::to_string(db().pool() != nullptr ? db().pool()->num_threads() : 1);
+  for (const auto& [path, body] :
+       {std::make_pair("/query?trace=1", QueryBody(kQueries[0])),
+        std::make_pair("/query", QueryBody(kQueries[0], "\"trace\": true"))}) {
+    SCOPED_TRACE(body);
+    auto traced = client.Post(path, body);
+    ASSERT_TRUE(traced.ok());
+    ASSERT_EQ(traced->status, 200);
+    auto traced_doc = server::JsonValue::Parse(traced->body);
+    ASSERT_TRUE(traced_doc.ok()) << traced_doc.status().ToString();
+    const server::JsonValue* trace = traced_doc->Find("trace");
+    ASSERT_NE(trace, nullptr);
+    ASSERT_TRUE(trace->is_array());
+    std::map<std::string, const server::JsonValue*> by_name;
+    for (const server::JsonValue& span : trace->items()) {
+      by_name[*span.GetString("name")] = &span;
+    }
+    for (const char* name :
+         {"execute_query", "interpret", "score", "combine_rank"}) {
+      ASSERT_TRUE(by_name.count(name)) << name;
+      EXPECT_GE(by_name[name]->GetNumber("duration_ms").value_or(-1.0), 0.0)
+          << name;
+    }
+    EXPECT_EQ(by_name["execute_query"]->Find("attributes")->GetString(
+                  "threads"),
+              std::make_optional(threads));
+    ASSERT_TRUE(by_name.count("score.condition"));
+    EXPECT_EQ(by_name["score.condition"]->Find("attributes")->GetString(
+                  "source"),
+              std::make_optional<std::string>("computed"));
+  }
 }
 
 TEST_F(ServerTest, InterpretationsCanBeSuppressed) {

@@ -253,11 +253,11 @@ TEST_F(TraceGoldenTest, FilteredScanEmitsObjectiveFilterSpan) {
   EXPECT_EQ(filter->parent_id, root.id);
   EXPECT_EQ(filter->Attribute("predicates"), "2");
   EXPECT_EQ(filter->Attribute("entities"), "30");
-  // Survivors match the query's entities_scored — the pushdown shrank
-  // the scoring fan-out.
+  // Survivors match the query's watermark — the pushdown shrank the
+  // scoring fan-out.
   EXPECT_EQ(filter->Attribute("survivors"),
-            std::to_string(result->stats.entities_scored));
-  EXPECT_LT(result->stats.entities_scored, db->corpus().num_entities());
+            std::to_string(result->watermark));
+  EXPECT_LT(result->watermark, db->corpus().num_entities());
 }
 
 TEST_F(TraceGoldenTest, WarmConjunctivePlanEmitsScoreSpans) {
@@ -387,8 +387,8 @@ TEST_F(TraceGoldenTest, StatsLevelPublishesRegistryMetrics) {
   EXPECT_EQ(queries->Value(), queries_before + 1);
   EXPECT_EQ(scored->Value(),
             scored_before + db->corpus().num_entities());
-  // The ExecutionStats façade and the registry agree.
-  EXPECT_EQ(result->stats.entities_scored, db->corpus().num_entities());
+  // The answer's watermark and the registry agree.
+  EXPECT_EQ(result->watermark, db->corpus().num_entities());
 }
 
 // ------------------------------------------- Traces over the wire.
