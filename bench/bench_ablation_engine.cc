@@ -1,41 +1,63 @@
 // Ablations for the design choices DESIGN.md calls out, beyond the
 // paper's own tables:
-//   1. Degree-of-truth caching (Section 3.3's "pre-computed ... indexed")
-//      — cold vs warm predicate evaluation latency.
+//   1. Degree-of-truth caching (Section 3.3's "pre-computed ... looked
+//      up") — warm per-query Execute time with the interpretation cache
+//      (which holds each predicate's degree list) off vs on.
 //   2. One-marker vs fractional phrase-to-marker assignment (Section
 //      4.2.2 leaves fractional contribution to future work; we implement
 //      both and compare result quality).
+//
+// Usage: bench_ablation_engine [scale_entities]. With an entity count,
+// item 1 also runs on a datagen::BuildScaledFixture of that size.
 #include <cstdio>
+#include <cstdlib>
 
 #include "bench_common.h"
 #include "common/timer.h"
-#include "core/degree_cache.h"
 #include "datagen/domain_spec.h"
+#include "datagen/scale.h"
 #include "eval/metrics.h"
 
 namespace opinedb {
 namespace {
 
-void DegreeCacheAblation(const eval::DomainArtifacts& artifacts) {
-  const auto& db = *artifacts.db;
-  core::DegreeCache cache(&db);
-  std::vector<std::string> predicates;
-  for (size_t i = 0; i < 40 && i < artifacts.pool.size(); ++i) {
-    predicates.push_back(artifacts.pool[i].text);
+/// Mean per-query Execute time (ms) over `rounds` passes of `sqls`,
+/// after one untimed pass that warms whatever caches are on.
+double WarmQueryMs(const core::OpineDb& db,
+                   const std::vector<std::string>& sqls, int rounds) {
+  for (const auto& sql : sqls) (void)db.Execute(sql);
+  Timer timer;
+  for (int round = 0; round < rounds; ++round) {
+    for (const auto& sql : sqls) (void)db.Execute(sql);
   }
-  Timer cold;
-  for (const auto& predicate : predicates) cache.Degrees(predicate);
-  const double cold_s = cold.ElapsedSeconds();
-  Timer warm;
-  for (int round = 0; round < 20; ++round) {
-    for (const auto& predicate : predicates) cache.Degrees(predicate);
+  return timer.ElapsedMillis() / (rounds * static_cast<double>(sqls.size()));
+}
+
+void CacheAblation(core::OpineDb& db, const std::string& table,
+                   const std::vector<std::string>& predicates, int rounds,
+                   const char* label) {
+  std::vector<std::string> sqls;
+  for (const auto& predicate : predicates) {
+    sqls.push_back("select * from " + table + " where \"" + predicate +
+                   "\" limit 10");
   }
-  const double warm_s = warm.ElapsedSeconds() / 20.0;
-  printf("1. Degree cache (40 predicates x %zu entities)\n",
-         db.corpus().num_entities());
-  printf("   cold (interpret + evaluate): %8.4f s\n", cold_s);
-  printf("   warm (cache lookup):         %8.6f s   speedup %.0fx\n\n",
-         warm_s, cold_s / warm_s);
+  printf("1. Degree-of-truth caching, %s (%zu predicates x %zu entities)\n",
+         label, sqls.size(), db.corpus().num_entities());
+  std::vector<size_t> threads = {1};
+  const size_t hw = bench::ResolvedThreads(0);
+  if (hw > 1) threads.push_back(hw);
+  for (const size_t t : threads) {
+    db.SetNumThreads(t);
+    db.ConfigureCaches({});
+    const double off_ms = WarmQueryMs(db, sqls, rounds);
+    db.ConfigureCaches({.enable_interpretation = true});
+    const double on_ms = WarmQueryMs(db, sqls, rounds);
+    db.ConfigureCaches({});
+    printf("   threads=%zu  cache off %9.4f ms/query   on %9.4f ms/query"
+           "   speedup %.1fx\n",
+           t, off_ms, on_ms, off_ms / on_ms);
+  }
+  printf("\n");
 }
 
 void FractionalAblation() {
@@ -86,12 +108,29 @@ void FractionalAblation() {
 }  // namespace
 }  // namespace opinedb
 
-int main() {
+int main(int argc, char** argv) {
   using namespace opinedb;
   printf("Engine ablations (design choices beyond the paper's tables).\n\n");
   auto artifacts = eval::BuildArtifacts(datagen::HotelDomain(),
                                         bench::HotelBuildOptions());
-  DegreeCacheAblation(artifacts);
+  std::vector<std::string> predicates;
+  for (size_t i = 0; i < 40 && i < artifacts.pool.size(); ++i) {
+    predicates.push_back(artifacts.pool[i].text);
+  }
+  CacheAblation(*artifacts.db, "hotels", predicates, /*rounds=*/20,
+                "seed");
+  if (argc > 1) {
+    datagen::ScaleSpec spec;
+    spec.num_entities = static_cast<size_t>(std::atoll(argv[1]));
+    datagen::ScaledFixture fixture = datagen::BuildScaledFixture(spec);
+    std::vector<std::string> scale_predicates;
+    for (size_t i = 0; i < 8 && i < fixture.subjective_predicates.size();
+         ++i) {
+      scale_predicates.push_back(fixture.subjective_predicates[i]);
+    }
+    CacheAblation(*fixture.db, fixture.table_name, scale_predicates,
+                  /*rounds=*/3, "scale fixture");
+  }
   FractionalAblation();
   return 0;
 }

@@ -10,9 +10,10 @@
 //     writer appends WAL-journaled review batches back-to-back;
 //     records sustained reviews/sec, appended-batch latency
 //     percentiles, the query p50/p99 during ingest and the p99
-//     regression ratio against phase 1, plus the attached degree
-//     cache's hit rate across the phase (warm lists must survive
-//     ingest — RefreshAfterIngest patches, it does not evict).
+//     regression ratio against phase 1, plus the interpretation
+//     cache's hit rate across the phase (each append bumps the cache
+//     epoch; the next query of a predicate re-derives its entry and
+//     degree list under the shared lock).
 //  3. Checkpoint: folds the accumulated WAL into the next snapshot
 //     generation and records the fold latency and resulting segment
 //     rotation.
@@ -39,7 +40,7 @@
 
 #include "bench_common.h"
 #include "common/rng.h"
-#include "core/degree_cache.h"
+#include "cache/interpretation_cache.h"
 #include "core/engine.h"
 #include "storage/wal.h"
 
@@ -185,10 +186,8 @@ int Main() {
   const int readers = IntEnv("OPINEDB_INGEST_READERS", 4);
   const int32_t entities = static_cast<int32_t>(db.corpus().num_entities());
 
-  core::DegreeCache degree_cache(&db);
-  db.AttachDegreeCache(&degree_cache);
-  const size_t warm_lists = degree_cache.PrecomputeMarkers();
-  printf("Warm degree cache: %zu marker lists precomputed\n", warm_lists);
+  db.ConfigureCaches({.enable_interpretation = true});
+  const cache::InterpretationCache& memo = *db.interpretation_cache();
 
   const auto wal_dir =
       std::filesystem::temp_directory_path() / "opinedb_bench_ingest_wal";
@@ -217,7 +216,8 @@ int Main() {
          baseline.qps, baseline.p50_ms, baseline.p99_ms, baseline.failures);
 
   // Phase 2: the same query load with the WAL-journaled writer running.
-  const auto cache_before = degree_cache.stats();
+  const uint64_t hits_before = memo.hits();
+  const uint64_t misses_before = memo.misses();
   std::vector<double> append_ms;
   uint64_t batches = 0;
   uint64_t reviews_appended = 0;
@@ -240,9 +240,8 @@ int Main() {
   const double ingest_seconds = ElapsedSeconds(ingest_start);
   const double reviews_per_sec =
       static_cast<double>(reviews_appended) / ingest_seconds;
-  const auto cache_after = degree_cache.stats();
-  const size_t phase_hits = cache_after.hits - cache_before.hits;
-  const size_t phase_misses = cache_after.misses - cache_before.misses;
+  const uint64_t phase_hits = memo.hits() - hits_before;
+  const uint64_t phase_misses = memo.misses() - misses_before;
   const double hit_rate =
       phase_hits + phase_misses == 0
           ? 1.0
@@ -255,7 +254,7 @@ int Main() {
          under_ingest.qps, under_ingest.p50_ms, under_ingest.p99_ms,
          under_ingest.failures);
   printf("  writer: %llu batches, %.1f reviews/sec sustained, append "
-         "p50=%.2fms p99=%.2fms; degree-cache hit rate %.3f\n",
+         "p50=%.2fms p99=%.2fms; interpretation-cache hit rate %.3f\n",
          static_cast<unsigned long long>(batches), reviews_per_sec,
          Percentile(&append_ms, 0.50), Percentile(&append_ms, 0.99),
          hit_rate);
@@ -301,7 +300,7 @@ int Main() {
   fprintf(out, "    \"reviews_per_sec\": %.2f,\n", reviews_per_sec);
   fprintf(out, "    \"append_p50_ms\": %.3f,\n", Percentile(&append_ms, 0.50));
   fprintf(out, "    \"append_p99_ms\": %.3f,\n", Percentile(&append_ms, 0.99));
-  fprintf(out, "    \"degree_cache_hit_rate\": %.4f\n", hit_rate);
+  fprintf(out, "    \"interp_cache_hit_rate\": %.4f\n", hit_rate);
   fprintf(out, "  },\n");
   fprintf(out, "  \"checkpoint\": {\"fold_ms\": %.3f, \"generation\": %llu}\n",
           checkpoint_ms,
@@ -309,7 +308,7 @@ int Main() {
   fprintf(out, "}\n");
   fclose(out);
 
-  db.AttachDegreeCache(nullptr);
+  db.ConfigureCaches({});
   std::filesystem::remove_all(wal_dir, ec);
   printf("Wrote BENCH_ingest.json (%.1f reviews/sec sustained, query p99 "
          "regression %.2fx)\n",

@@ -3,8 +3,8 @@
 // k-d tree search, logistic-regression
 // inference, tokenization, marker-summary aggregation and the
 // observability primitives. After the google-benchmark run, a
-// threads={1,2,4,8} sweep of PrecomputeMarkers and ExecuteQuery on the
-// seed hotel dataset writes BENCH_parallel.json (skip with
+// threads={1,2,4,8} sweep of ExecuteQuery on the seed hotel dataset
+// writes BENCH_parallel.json (skip with
 // OPINEDB_SKIP_PARALLEL_SWEEP=1), and a trace_level={off,stats,full}
 // sweep of the same query list writes BENCH_obs.json — the
 // metrics-overhead numbers DESIGN.md "Observability" quotes (skip with
@@ -34,7 +34,6 @@
 #include "cache/result_cache.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "core/degree_cache.h"
 #include "core/marker_summary.h"
 #include "embedding/kdtree.h"
 #include "fuzzy/logic.h"
@@ -222,8 +221,8 @@ double BestOfMs(int repeats, const Fn& fn) {
 
 void RunParallelSweep() {
   const std::vector<size_t> threads = {1, 2, 4, 8};
-  printf("\nParallel sweep: PrecomputeMarkers + ExecuteQuery on the seed "
-         "hotel dataset (threads = 1, 2, 4, 8)...\n");
+  printf("\nParallel sweep: ExecuteQuery on the seed hotel dataset "
+         "(threads = 1, 2, 4, 8)...\n");
   auto artifacts =
       eval::BuildArtifacts(datagen::HotelDomain(), bench::HotelBuildOptions());
   core::OpineDb& db = *artifacts.db;
@@ -236,14 +235,9 @@ void RunParallelSweep() {
   };
   const int repeats = bench::Repeats();
 
-  std::vector<double> precompute_ms;
   std::vector<double> execute_ms;
   for (size_t t : threads) {
     db.SetNumThreads(t);
-    precompute_ms.push_back(BestOfMs(repeats, [&] {
-      core::DegreeCache cache(&db);
-      cache.PrecomputeMarkers();
-    }));
     execute_ms.push_back(BestOfMs(repeats, [&] {
       for (const auto& sql : queries) {
         auto result = db.Execute(sql);
@@ -254,16 +248,13 @@ void RunParallelSweep() {
         }
       }
     }));
-    printf("  threads=%zu  PrecomputeMarkers %8.2f ms   ExecuteQuery(x%zu) "
-           "%8.2f ms\n",
-           t, precompute_ms.back(), queries.size(), execute_ms.back());
+    printf("  threads=%zu  ExecuteQuery(x%zu) %8.2f ms\n", t,
+           queries.size(), execute_ms.back());
   }
   db.SetNumThreads(1);
 
-  std::vector<double> precompute_speedup;
   std::vector<double> execute_speedup;
   for (size_t i = 0; i < threads.size(); ++i) {
-    precompute_speedup.push_back(precompute_ms[0] / precompute_ms[i]);
     execute_speedup.push_back(execute_ms[0] / execute_ms[i]);
   }
 
@@ -278,21 +269,15 @@ void RunParallelSweep() {
   bench::WriteHostFields(out, threads.back());
   fprintf(out, "  \"repeats\": %d,\n", repeats);
   fprintf(out, "  \"threads\": %s,\n", bench::JsonArray(threads).c_str());
-  fprintf(out, "  \"precompute_markers_ms\": %s,\n",
-          bench::JsonArray(precompute_ms).c_str());
   fprintf(out, "  \"execute_query_ms\": %s,\n",
           bench::JsonArray(execute_ms).c_str());
-  fprintf(out, "  \"precompute_markers_speedup\": %s,\n",
-          bench::JsonArray(precompute_speedup).c_str());
   fprintf(out, "  \"execute_query_speedup\": %s,\n",
           bench::JsonArray(execute_speedup).c_str());
-  fprintf(out, "  \"speedup_precompute_4t\": %g,\n", precompute_speedup[2]);
   fprintf(out, "  \"speedup_execute_4t\": %g\n", execute_speedup[2]);
   fprintf(out, "}\n");
   fclose(out);
-  printf("  wrote BENCH_parallel.json (4-thread speedups: "
-         "PrecomputeMarkers %.2fx, ExecuteQuery %.2fx)\n",
-         precompute_speedup[2], execute_speedup[2]);
+  printf("  wrote BENCH_parallel.json (4-thread ExecuteQuery speedup %.2fx)\n",
+         execute_speedup[2]);
 }
 
 // ----------------------------------------- Observability overhead sweep.
@@ -404,9 +389,14 @@ void RunPlannerSweep() {
   const int repeats = std::max(bench::Repeats(), 5);
   const size_t num_entities = db.corpus().num_entities();
 
+  auto force_plan = [&db](core::PlanForce force) {
+    core::EngineOptions options = db.options();
+    options.force_plan = force;
+    db.SetQueryOptions(options);
+  };
   auto run_forced = [&](core::PlanForce force, const std::string& sql,
                         core::QueryResult* last) {
-    db.mutable_options()->force_plan = force;
+    force_plan(force);
     const double ms = BestOfMs(repeats, [&] {
       auto result = db.Execute(sql);
       if (!result.ok()) {
@@ -416,12 +406,12 @@ void RunPlannerSweep() {
       }
       if (last != nullptr) *last = std::move(*result);
     });
-    db.mutable_options()->force_plan = core::PlanForce::kAuto;
+    force_plan(core::PlanForce::kAuto);
     return ms;
   };
 
   // Pushdown: one subjective predicate behind a price cut-off of
-  // decreasing selectivity. No degree cache attached, so subjective
+  // decreasing selectivity. Caches are off, so subjective
   // scoring really recomputes per entity — the work the filter skips.
   const std::vector<int> cutoffs = {100, 200, 300, 400, 550};
   std::vector<double> dense_ms;

@@ -36,7 +36,9 @@ void Evaluate(eval::DomainArtifacts* artifacts, const QuerySet& set,
               bool use_markers, int queries, uint64_t seed,
               ConfigResult* out) {
   auto& db = *artifacts->db;
-  db.mutable_options()->use_markers = use_markers;
+  core::EngineOptions engine_options = db.options();
+  engine_options.use_markers = use_markers;
+  db.SetQueryOptions(engine_options);
 
   // Train the membership model on features from the matching path, with
   // a held-out test split for LR-accuracy (paper: 1000 labeled pairs).

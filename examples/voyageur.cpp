@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "core/degree_cache.h"
+#include "cache/interpretation_cache.h"
 #include "core/personalize.h"
 #include "core/serialize.h"
 #include "datagen/domain_spec.h"
@@ -64,21 +64,22 @@ int main() {
   // Degree caching for a hot query path: once both lists are resident,
   // the query reads them instead of re-scoring every entity.
   printf("\nCached conjunctive top-3 over resident degree lists:\n");
-  core::DegreeCache cache(&db);
-  db.AttachDegreeCache(&cache);
+  db.ConfigureCaches({.enable_interpretation = true});
   const char* hot_sql =
       "select * from hotels where \"friendly staff\" and "
       "\"delicious breakfast\" limit 3";
   (void)db.Execute(hot_sql);  // Materializes both lists.
-  const size_t hits_before = cache.stats().hits;
+  const uint64_t hits_before = db.interpretation_cache()->hits();
   auto hot = db.Execute(hot_sql);
-  db.AttachDegreeCache(nullptr);
+  const uint64_t hits = db.interpretation_cache()->hits() - hits_before;
+  const size_t resident = db.interpretation_cache()->size();
+  db.ConfigureCaches({});
   if (hot.ok()) {
     for (const auto& r : hot->results) {
       printf("  %-12s %.3f\n", r.entity_name.c_str(), r.score);
     }
-    printf("  (%zu of %zu degree lists served from the cache)\n",
-           cache.stats().hits - hits_before, cache.size());
+    printf("  (%llu of %zu degree lists served from the cache)\n",
+           static_cast<unsigned long long>(hits), resident);
   }
 
   // Persist and reload the queryable state.

@@ -81,7 +81,15 @@ bool InterpretationCache::Lookup(const std::string& key, uint64_t epoch,
 void InterpretationCache::Insert(const std::string& key, Entry entry) {
   Shard& shard = ShardFor(key);
   std::unique_lock<std::shared_mutex> lock(shard.mu);
-  shard.map[key] = std::move(entry);
+  Entry& resident = shard.map[key];
+  // A racing miss may re-insert the interpretation a concurrent query
+  // already completed with its list; both are bit-identical, so keep
+  // the one that carries the list.
+  if (resident.epoch == entry.epoch && resident.degrees != nullptr &&
+      entry.degrees == nullptr) {
+    return;
+  }
+  resident = std::move(entry);
 }
 
 void InterpretationCache::Clear() {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <shared_mutex>
 #include <string>
@@ -16,9 +17,12 @@
 
 namespace opinedb::cache {
 
-/// Memoizes the interpretation prologue of ExecuteQuery per (normalized
-/// predicate text, epoch): the Fig. 5 cascade output plus the query
-/// embedding and sentiment the scoring phase needs. Safe to key on
+/// Memoizes, per (normalized predicate text, epoch), the interpretation
+/// prologue of ExecuteQuery — the Fig. 5 cascade output plus the query
+/// embedding and sentiment the scoring phase needs — and the dense
+/// degree-of-truth list over all entities computed from them (Section
+/// 3.3: degrees "can be pre-computed so that they can simply be looked
+/// up"). Safe to key on
 /// NormalizePredicate(text) because every downstream consumer of the
 /// predicate (PhraseEmbedder::Represent, Analyzer::ScorePhrase,
 /// Interpreter::Interpret, the BM25 text fallback) tokenizes it with the
@@ -28,13 +32,16 @@ namespace opinedb::cache {
 /// Entries are tagged with the engine's cache epoch; a lookup whose
 /// epoch does not match is a miss, and the engine clears the cache on
 /// every wholesale invalidation (Reaggregate / OpenDatabase /
-/// TrainMembership); after an ingest's bump the stale entries stay
-/// resident and the next lookup of each key misses and refills it.
-/// Degraded interpretations are never inserted.
+/// TrainMembership / SetQueryOptions); after an ingest's bump the stale
+/// entries stay resident and the next lookup of each key misses and
+/// refills it. Degraded interpretations and incomplete degree lists are
+/// never inserted.
 ///
-/// Thread-safe: sharded shared_mutex maps, same discipline as
-/// core::DegreeCache. Lookups copy the entry out, so no references
-/// escape a shard lock.
+/// Thread-safe: sharded shared_mutex maps; lookups take a shard's
+/// shared lock, insertions its exclusive lock. Lookups copy the entry
+/// out (the degree list by shared ownership), so no references escape
+/// a shard lock and a query keeps its list alive across a concurrent
+/// overwrite or Clear().
 class InterpretationCache {
  public:
   struct Entry {
@@ -42,6 +49,10 @@ class InterpretationCache {
     embedding::Vec rep;
     double sentiment = 0.0;
     uint64_t epoch = 0;
+    /// Degree of truth of the predicate for every entity, computed by
+    /// ConditionScorer from the three fields above; nullptr until the
+    /// first query that scores the predicate fills it. Not persisted.
+    std::shared_ptr<const std::vector<double>> degrees;
   };
 
   InterpretationCache();
@@ -54,9 +65,11 @@ class InterpretationCache {
   /// interpretation and overwrites it).
   bool Lookup(const std::string& key, uint64_t epoch, Entry* out) const;
 
-  /// Inserts (or overwrites) the entry for `key`. Callers must not
-  /// insert degraded interpretations — the cache would happily serve
-  /// them forever while the underlying fault is long gone.
+  /// Inserts (or overwrites) the entry for `key`, except that an entry
+  /// without a degree list never replaces a same-epoch entry with one.
+  /// Callers must not insert degraded interpretations — the cache would
+  /// happily serve them forever while the underlying fault is long
+  /// gone.
   void Insert(const std::string& key, Entry entry);
 
   /// Drops every entry (under all shard locks).
@@ -97,7 +110,9 @@ class InterpretationCache {
 /// fresh) in a deterministic (key-sorted) line-oriented text format —
 /// the "interp_cache" snapshot section payload. Deterministic so save →
 /// open → save produces byte-identical sections. Doubles are written
-/// with max_digits10, so a reloaded entry is bit-exact.
+/// with max_digits10, so a reloaded entry is bit-exact. Degree lists are
+/// left out (8 bytes per entity each, and cheap to recompute from the
+/// entry): a reloaded entry refills its list on first use.
 Status SaveInterpretationCache(const InterpretationCache& cache,
                                uint64_t epoch, std::ostream* out);
 

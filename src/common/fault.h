@@ -26,8 +26,6 @@ class FaultInjected : public std::runtime_error {
 /// sweep this list; keep it in sync with the OPINEDB_FAULT call sites
 /// (fault_injection_test asserts every entry is reachable).
 inline constexpr const char* kSites[] = {
-    "cache.lookup",          // DegreeCache::Degrees / TryDegrees entry.
-    "cache.compute",         // DegreeCache::ComputeDegrees entry.
     "interpret.w2v",         // Interpreter word2vec stage.
     "interpret.cooccur",     // Interpreter co-occurrence stage.
     "interpret.embed",       // Query-embedding prologue in ExecuteQuery.
@@ -37,7 +35,8 @@ inline constexpr const char* kSites[] = {
     "score.alloc",           // Degree-list allocation in SubjectiveScoreOp.
     "cache.interp_lookup",   // Interpretation-cache consult (ExecuteQuery
                              // prologue / PredicateDegreeOfTruth).
-    "cache.interp_insert",   // Interpretation-cache fill.
+    "cache.interp_insert",   // Interpretation-cache fill (interpretation,
+                             // then its degree list after scoring).
     "cache.result_lookup",   // Result-cache consult in ExecuteQuery.
     "cache.result_insert",   // Result-cache fill after execution.
 };
@@ -135,7 +134,7 @@ bool ShouldFail(const char* site);
 
 /// Deterministic fault-injection point:
 ///
-///   OPINEDB_FAULT("cache.lookup");
+///   OPINEDB_FAULT("cache.interp_lookup");
 ///
 /// Compiled out (a no-op with zero code) unless the build defines
 /// OPINEDB_ENABLE_FAULT_INJECTION (CMake option OPINEDB_FAULT_INJECTION,

@@ -94,8 +94,9 @@ class ColumnarSummaryStore {
   size_t num_entities_ = 0;
 };
 
-/// The one way a subjective condition is scored (SubjectiveScoreOp,
-/// DegreeCache, PredicateDegreeOfTruth): built once per (interpretation,
+/// The one way a subjective condition is scored (SubjectiveScoreOp, which
+/// also fills the interpretation cache's degree lists, and
+/// PredicateDegreeOfTruth): built once per (interpretation,
 /// query rep, sentiment, predicate), then Score(e) yields the condition's
 /// degree of truth for any entity.
 ///

@@ -13,7 +13,6 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/columnar.h"
-#include "core/degree_cache.h"
 #include "core/exec_ops.h"
 #include "core/marker_induction.h"
 #include "core/serialize.h"
@@ -89,6 +88,19 @@ Result<std::vector<text::Review>> DecodeReviewBatch(
   return reviews;
 }
 
+/// Interpretation-cache fill. Failures are absorbed: the cache is an
+/// optimization, and the caller already holds its answer.
+void InsertIntoCache(cache::InterpretationCache* interp_cache,
+                     const std::string& key,
+                     cache::InterpretationCache::Entry entry) {
+  try {
+    OPINEDB_FAULT("cache.interp_insert");
+    interp_cache->Insert(key, std::move(entry));
+  } catch (const std::exception&) {
+    OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
+  }
+}
+
 /// Interpretation-cache consult/fill for one subjective predicate,
 /// shared by ExecuteQuery and PredicateDegreeOfTruth. The cascade output
 /// is a pure function of (normalized predicate, epoch), so a hit skips
@@ -118,13 +130,8 @@ cache::InterpretationCache::Entry InterpretThroughCache(
   }
   cache::InterpretationCache::Entry entry = compute();
   if (interp_cache != nullptr && fill && !entry.interpretation.degraded) {
-    try {
-      OPINEDB_FAULT("cache.interp_insert");
-      entry.epoch = epoch;
-      interp_cache->Insert(key, entry);
-    } catch (const std::exception&) {
-      OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
-    }
+    entry.epoch = epoch;
+    InsertIntoCache(interp_cache, key, entry);
   }
   return entry;
 }
@@ -365,9 +372,7 @@ Status OpineDb::TrainMembership(
   if (read_only_) return ReadOnlyError("TrainMembership");
   membership_ = MembershipModel::Train(tuples, seed);
   // A new membership model changes every degree of truth the engine
-  // emits: cached results, interpretations-with-degrees and degree
-  // lists all describe the old model. (The degree-cache clear here is a
-  // bugfix — TrainMembership previously left stale lists resident.)
+  // emits: cached results and degree lists describe the old model.
   InvalidateCachesLocked();
   return Status::OK();
 }
@@ -377,12 +382,6 @@ void OpineDb::InvalidateCachesLocked() {
       cache_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (result_cache_ != nullptr) result_cache_->Clear();
   if (interp_cache_ != nullptr) interp_cache_->Clear();
-  if (degree_cache_ != nullptr) {
-    // The exclusive reconfiguration lock provides the external
-    // synchronization Clear() demands (no concurrent readers, no
-    // outstanding references).
-    degree_cache_->Clear();
-  }
   OPINEDB_METRIC_GAUGE_SET("engine.cache.epoch", static_cast<double>(epoch));
 }
 
@@ -428,9 +427,9 @@ Status OpineDb::Reaggregate(const AggregationOptions& aggregation) {
   tables_ = aggregator_->Build(corpus_, std::move(extractions), aggregation,
                                pool_.get());
   RebuildDerivedState();
-  // Every cached artifact (results, interpretations, degree lists) was
-  // computed against the old summaries; serving any of them now would
-  // silently ignore the re-aggregation.
+  // Every cached artifact (results, interpretations and their degree
+  // lists) was computed against the old summaries; serving any of them
+  // now would silently ignore the re-aggregation.
   InvalidateCachesLocked();
   return Status::OK();
 }
@@ -454,9 +453,21 @@ void OpineDb::SetTraceLevel(obs::TraceLevel level) {
   obs::SetMetricsEnabled(level >= obs::TraceLevel::kStats);
 }
 
-void OpineDb::AttachDegreeCache(DegreeCache* cache) {
+void OpineDb::SetQueryOptions(const EngineOptions& options) {
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
-  degree_cache_ = cache;
+  const bool answers_change =
+      options.variant != options_.variant ||
+      options.use_markers != options_.use_markers ||
+      options.text_fallback_c != options_.text_fallback_c;
+  options_.variant = options.variant;
+  options_.use_markers = options.use_markers;
+  options_.text_fallback_c = options.text_fallback_c;
+  options_.force_plan = options.force_plan;
+  // Every cached result and degree list was computed under the old
+  // knobs. A forced plan shape alone changes no answer (plan
+  // equivalence), so it keeps the caches warm.
+  if (answers_change) InvalidateCachesLocked();
 }
 
 Status OpineDb::SaveDatabase(const std::string& dir) const {
@@ -710,19 +721,13 @@ void OpineDb::FoldBatchLocked(PreparedBatch batch) {
   interpreter_->AppendNewExtractions();
   columnar_->UpdateEntities(tables_, batch.touched);
 
-  // Surgical cache maintenance — the whole reason ingest is not a
-  // Reaggregate. One epoch bump expires result- and interpretation-cache
-  // entries lazily (a ranking may depend on every entity, so per-entity
-  // invalidation is unsound there; a stale interpretation is a miss that
-  // the next lookup re-derives from the post-ingest interpreter), while
-  // the degree cache keeps its warm set.
+  // Cache maintenance is one epoch bump, O(1) whatever is cached: result
+  // and interpretation-cache entries expire lazily (a ranking may depend
+  // on every entity, so per-entity invalidation is unsound there; a
+  // stale interpretation and its degree list are a miss that the next
+  // reader re-derives under the shared lock).
   const uint64_t epoch =
       cache_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (degree_cache_ != nullptr) {
-    // In-place refresh: untouched entities' slots (the warm working
-    // set) survive; only touched slots are rescored.
-    degree_cache_->RefreshAfterIngest(batch.touched);
-  }
   OPINEDB_METRIC_GAUGE_SET("engine.cache.epoch",
                            static_cast<double>(epoch));
 }
@@ -1067,7 +1072,7 @@ Result<QueryResult> OpineDb::Execute(const std::string& sql,
 Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
                                           const QueryControl& control) const {
   // Shared for the whole query: reconfigurators (Reaggregate,
-  // SetNumThreads, AttachDegreeCache, ...) take this exclusively, so
+  // SetNumThreads, ConfigureCaches, ...) take this exclusively, so
   // the pool/tables/cache snapshotted below stay alive and coherent
   // until we return.
   std::shared_lock<std::shared_mutex> reconfig_lock(reconfig_mu_);
@@ -1080,7 +1085,7 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   QueryResult output;
   // Full tracing installs a per-query ring buffer as the calling
   // thread's ambient trace context; every TraceSpan below (and inside
-  // the interpreter / degree cache on this thread) records into it.
+  // the interpreter on this thread) records into it.
   // Worker threads never see the context, so spans cannot perturb the
   // parallel-vs-serial bit-identity contract.
   std::optional<obs::TraceScope> trace_scope;
@@ -1098,7 +1103,7 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   // "Which data am I serving": the snapshot generation behind the
   // summaries (0 = built in-process, never saved/loaded) and the cache
   // epoch, so traces correlate with Reaggregate / OpenDatabase / ingest
-  // events. Recorded only when a store/degree cache is in play so
+  // events. Recorded only when a store/cache is in play so
   // pre-persistence trace goldens stay unchanged. The epoch is read
   // once; mutators bump it under the exclusive reconfiguration lock, so
   // it cannot move mid-query.
@@ -1108,12 +1113,16 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
     query_span.AddAttribute("snapshot_generation", snapshot_generation);
   }
   const uint64_t cache_epoch = cache_epoch_.load(std::memory_order_relaxed);
-  if (degree_cache_ != nullptr) {
+  if (interp_cache_ != nullptr || result_cache_ != nullptr) {
     query_span.AddAttribute("cache_epoch", cache_epoch);
   }
   auto table_result = catalog_.GetTable(query.table);
   if (!table_result.ok()) return table_result.status();
   const storage::Table* table = *table_result;
+  for (const Condition& condition : query.conditions) {
+    output.objective_slots.push_back(condition.kind ==
+                                     Condition::Kind::kObjective);
+  }
 
   // ----------------------------------------------------- result cache.
   // Consulted before planning: a hit skips the whole pipeline. EXPLAIN
@@ -1175,7 +1184,6 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   const LogicalPlan logical = AnalyzeQuery(query);
   PlannerContext planner_context;
   planner_context.num_entities = corpus_.num_entities();
-  planner_context.cache = degree_cache_;
   planner_context.force = options_.force_plan;
   planner_context.variant = options_.variant;
   const PhysicalPlan physical = SelectPlan(query, logical, planner_context);
@@ -1193,16 +1201,21 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   output.interpretations.resize(num_conditions);
   std::vector<embedding::Vec> reps(num_conditions);
   std::vector<double> sentis(num_conditions, 0.0);
+  // The interpretation cache's degree lists (resident ones from hits,
+  // filled ones after scoring) and which conditions fill their entry.
+  std::vector<std::shared_ptr<const std::vector<double>>> lists(
+      interp_cache_ != nullptr ? num_conditions : 0);
+  std::vector<uint8_t> fill_list(lists.size(), 0);
   bool degraded = false;
   {
     OPINEDB_SPAN("interpret");
     for (size_t c = 0; c < num_conditions; ++c) {
       const Condition& condition = query.conditions[c];
       if (condition.kind != Condition::Kind::kSubjective) continue;
+      // Filled after scoring, together with the degree list.
       auto entry = InterpretThroughCache(
           interp_cache_.get(), condition.subjective, cache_epoch,
-          // A deadline-shaped interpretation may have skipped stages.
-          /*fill=*/deadline == nullptr, [&] {
+          /*fill=*/false, [&] {
             cache::InterpretationCache::Entry computed;
             try {
               OPINEDB_FAULT("interpret.embed");
@@ -1221,6 +1234,12 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
             return computed;
           });
       if (entry.interpretation.degraded) degraded = true;
+      if (!lists.empty()) {
+        // A degraded interpretation never backs a resident list.
+        fill_list[c] =
+            entry.degrees == nullptr && !entry.interpretation.degraded;
+        lists[c] = std::move(entry.degrees);
+      }
       output.interpretations[c] = std::move(entry.interpretation);
       reps[c] = std::move(entry.rep);
       sentis[c] = entry.sentiment;
@@ -1234,7 +1253,7 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   ctx.query = &query;
   ctx.logical = &logical;
   ctx.table = table;
-  ctx.cache = degree_cache_;
+  if (!lists.empty()) ctx.memo_lists = &lists;
   ctx.output = &output;
   ctx.reps = &reps;
   ctx.sentis = &sentis;
@@ -1261,6 +1280,24 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
     return Status::Internal(std::string("query execution failed: ") +
                             e.what());
   }
+  // One fill per entry: the interpretation with the degree list the
+  // score operator completed, or without one — unless a deadline ran,
+  // since a deadline-shaped interpretation may have skipped stages. The
+  // query's epoch is still current (mutators wait for the shared lock).
+  for (size_t c = 0; c < lists.size(); ++c) {
+    if (fill_list[c] == 0 || (lists[c] == nullptr && deadline != nullptr)) {
+      continue;
+    }
+    cache::InterpretationCache::Entry entry;
+    entry.interpretation = output.interpretations[c];
+    entry.rep = reps[c];
+    entry.sentiment = sentis[c];
+    entry.epoch = cache_epoch;
+    entry.degrees = lists[c];
+    InsertIntoCache(interp_cache_.get(),
+                    NormalizePredicate(query.conditions[c].subjective),
+                    std::move(entry));
+  }
   output.partial = ctx.partial;
   output.watermark = ctx.partial ? ctx.watermark : ctx.num_candidates();
   output.degraded = degraded || result_cache_fault ||
@@ -1282,8 +1319,7 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
     // epoch answered recent queries.
     OPINEDB_METRIC_GAUGE_SET("storage.snapshot.generation",
                              static_cast<double>(snapshot_generation));
-    if (result_cache_ != nullptr || interp_cache_ != nullptr ||
-        degree_cache_ != nullptr) {
+    if (result_cache_ != nullptr || interp_cache_ != nullptr) {
       OPINEDB_METRIC_GAUGE_SET("engine.cache.epoch",
                                static_cast<double>(cache_epoch));
     }

@@ -106,6 +106,9 @@ struct QueryResult {
   /// For each condition index, the interpretation used (objective
   /// conditions get a default-constructed entry).
   std::vector<PredicateInterpretation> interpretations;
+  /// For each condition index, true when the condition is objective: its
+  /// `interpretations` slot is a placeholder, not a cascade output.
+  std::vector<bool> objective_slots;
   /// Candidate entities scored exactly — for a partial result, the
   /// prefix the ranking is consistent over. Part of the answer (a
   /// result-cache hit restores the fill's value); how the query ran is
@@ -134,7 +137,6 @@ struct QueryResult {
 
 class ColumnarSummaryStore;
 class ColumnarTable;
-class DegreeCache;
 
 /// OpineDB: the subjective database engine (Fig. 4).
 ///
@@ -197,7 +199,7 @@ class OpineDb {
 
   /// Re-aggregates marker summaries under different review filters (e.g.
   /// "only reviewers with >= 10 reviews"); replaces the current tables
-  /// and invalidates any attached degree cache (its lists were computed
+  /// and invalidates every cache layer (its entries were computed
   /// against the old summaries). Serialized against in-flight queries by
   /// the reconfiguration lock.
   ///
@@ -220,12 +222,12 @@ class OpineDb {
   /// retrained by ingest. Review `id` fields are ignored; ids are
   /// assigned by the corpus in append order.
   ///
-  /// Cache maintenance is surgical rather than wholesale: the cache
-  /// epoch is bumped once, so result- and interpretation-cache entries
-  /// lazily expire (a ranking may depend on every entity, so per-entity
-  /// invalidation is unsound there; an interpretation is re-derived on
-  /// its next lookup), and an attached degree cache is patched in place
-  /// for just the touched entities (DegreeCache::RefreshAfterIngest).
+  /// Cache maintenance is one epoch bump, not a clear: result- and
+  /// interpretation-cache entries lazily expire (a ranking may depend
+  /// on every entity, so per-entity invalidation is unsound there; an
+  /// interpretation and its degree list are re-derived by the next
+  /// query that looks them up, under the shared lock). The exclusive
+  /// fold is therefore O(batch) whatever the caches hold.
   ///
   /// When a WAL is enabled (EnableWal) the batch is journaled —
   /// append + fsync — before any state changes; an error from the
@@ -358,11 +360,17 @@ class OpineDb {
   /// recent call wins.
   void SetTraceLevel(obs::TraceLevel level);
 
-  /// Attaches a degree-of-truth cache consulted (and warmed) by
-  /// ExecuteQuery for subjective conditions; pass nullptr to detach. The
-  /// cache must outlive the attachment and be built over this engine.
-  /// Serialized against in-flight queries by the reconfiguration lock.
-  void AttachDegreeCache(DegreeCache* cache);
+  /// Changes the query-time knobs of EngineOptions — variant,
+  /// use_markers, text_fallback_c and force_plan — to those of
+  /// `options`; its other fields are ignored (the execution layer has
+  /// SetNumThreads / SetTraceLevel / ConfigureCaches, and the models
+  /// and aggregation are fixed by Build / Reaggregate). Ordered like
+  /// every data mutation (writer mutex, then the exclusive
+  /// reconfiguration lock); a change to variant, use_markers or
+  /// text_fallback_c changes degrees of truth, so it bumps the cache
+  /// epoch and clears every cache layer. A forced plan shape changes
+  /// no answer and keeps the caches.
+  void SetQueryOptions(const EngineOptions& options);
 
   /// Reconfigures the result / interpretation cache layers (creating,
   /// resizing or destroying them). Fresh layers start empty; the cache
@@ -372,11 +380,13 @@ class OpineDb {
 
   /// Monotone invalidation epoch of the caching layers: bumped exactly
   /// once by every mutation of served data (Reaggregate, OpenDatabase,
-  /// InstallSummaries, TrainMembership, AppendReviews) under the
-  /// exclusive reconfiguration lock, and by nothing else (SetNumThreads
-  /// / SetTraceLevel / AttachDegreeCache / ConfigureCaches reconfigure
-  /// execution, not data). Cache entries are tagged with the epoch they
-  /// were filled at; a mismatch is a miss.
+  /// InstallSummaries, TrainMembership, AppendReviews, and a
+  /// SetQueryOptions that changes degrees of truth) under the exclusive
+  /// reconfiguration lock, and by nothing else (SetNumThreads /
+  /// SetTraceLevel / ConfigureCaches reconfigure execution, not data).
+  /// Cache entries — interpretations with their degree lists, and
+  /// results — are tagged with the epoch they were filled at; a
+  /// mismatch is a miss.
   uint64_t cache_epoch() const {
     return cache_epoch_.load(std::memory_order_relaxed);
   }
@@ -411,8 +421,8 @@ class OpineDb {
   /// (InvalidArgument otherwise). After a successful open the
   /// extraction relation is empty, so a later Reaggregate would rebuild
   /// summaries from nothing — it returns FailedPrecondition; re-extract
-  /// from the corpus instead. An attached degree cache is cleared (its
-  /// lists described the old summaries). Any active WAL is detached
+  /// from the corpus instead. Every cache layer is cleared (its entries
+  /// described the old summaries). Any active WAL is detached
   /// (the journal belonged to the replaced state); call EnableWal again
   /// to replay the tail for the newly opened generation.
   Status OpenDatabase(const std::string& dir);
@@ -459,11 +469,8 @@ class OpineDb {
     return extraction_lists_[attribute][entity];
   }
 
-  /// Mutable options (for ablations like toggling use_markers).
-  EngineOptions* mutable_options() { return &options_; }
-
-  /// The worker pool (nullptr on the serial path). Shared with
-  /// DegreeCache for parallel precomputation.
+  /// The worker pool (nullptr on the serial path), shared with the
+  /// physical operators.
   ThreadPool* pool() const { return pool_.get(); }
 
   /// The columnar mirror of the marker summaries that ConditionScorer
@@ -499,10 +506,10 @@ class OpineDb {
   /// loop behind both a rebuild (from 0) and an ingest fold.
   void AppendExtractionLists(size_t from);
   /// The single wholesale epoch-bump point: advances cache_epoch_ once
-  /// and clears every cache layer (result, interpretation, attached
-  /// degree cache). Requires reconfig_mu_
-  /// held exclusively. AppendReviews deliberately does NOT route through
-  /// here — it bumps the epoch but keeps caches warm (see its doc).
+  /// and clears every cache layer (result, interpretation). Requires
+  /// reconfig_mu_ held exclusively. AppendReviews deliberately does NOT
+  /// route through here — it bumps the epoch and lets stale entries
+  /// expire lazily (see its doc).
   void InvalidateCachesLocked();
   /// Serializes schema, summaries and the current-epoch interpretation
   /// cache under the shared lock and commits them as a new generation
@@ -558,8 +565,6 @@ class OpineDb {
   /// Fixed worker pool for the parallel execution layer; nullptr when
   /// options_.num_threads resolves to 1 (the serial path).
   std::unique_ptr<ThreadPool> pool_;
-  /// Optional degree cache consulted by ExecuteQuery (not owned).
-  DegreeCache* degree_cache_ = nullptr;
   /// Optional caching layers (nullptr when disabled); both are
   /// internally thread-safe, and creation/destruction happens only
   /// under the exclusive reconfiguration lock.
@@ -597,7 +602,8 @@ class OpineDb {
   /// Writer mutex: orders every data mutation — AppendReviews,
   /// ApplyReplicatedRecord, Checkpoint, ReplicaCheckpoint, SaveDatabase,
   /// EnableWal, OpenDatabase, Reaggregate, InstallSummaries,
-  /// TrainMembership, SetObjectiveTable, SetReadOnly, Promote. Always
+  /// TrainMembership, SetQueryOptions, SetObjectiveTable, SetReadOnly,
+  /// Promote. Always
   /// taken before reconfig_mu_. Holding it freezes the served data, so
   /// a holder may read that data under the shared lock (or without it)
   /// and take the exclusive lock only to publish.
@@ -608,12 +614,13 @@ class OpineDb {
   /// exclusively only to fold a batch into the served state or to
   /// publish a snapshot generation and rotate the WAL segment. Every
   /// wholesale rebuild (Reaggregate, InstallSummaries, OpenDatabase,
-  /// TrainMembership) and the execution reconfigurators (SetNumThreads,
-  /// SetTraceLevel, AttachDegreeCache, ConfigureCaches, which do not
-  /// take write_mu_) hold it exclusively. This (a) keeps pool_ alive for
-  /// the queries that snapshotted it, (b) provides the external
-  /// synchronization DegreeCache::Clear() demands, and (c) prevents
-  /// queries from reading tables_/interpreter_ mid-update.
+  /// TrainMembership, SetQueryOptions) and the execution
+  /// reconfigurators (SetNumThreads, SetTraceLevel, ConfigureCaches,
+  /// which do not take write_mu_) hold it exclusively. This (a) keeps
+  /// pool_ and the cache layers alive for the queries that snapshotted
+  /// them, (b) keeps a query's cache epoch current until it returns, so
+  /// the entries it fills are never stale on arrival, and (c) prevents
+  /// queries from reading tables_/interpreter_/options_ mid-update.
   mutable std::shared_mutex reconfig_mu_;
   /// extraction_lists_[a][e]: indices into tables_.extractions (stable
   /// when the relation reallocates on growth).

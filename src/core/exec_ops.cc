@@ -7,7 +7,6 @@
 
 #include "common/fault.h"
 #include "core/columnar.h"
-#include "core/degree_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -108,45 +107,18 @@ Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
       condition_span.AddAttribute("source", "deadline_skipped");
       continue;
     }
-    bool use_cache = ctx->cache != nullptr;
-    if (use_cache) {
-      // The cache computes misses through the same per-entity code path,
-      // so cached and freshly-computed lists are bit-identical.
-      try {
-        // The cache counts its own traffic; the probe only labels the
-        // span, so an untraced query skips it.
-        if (condition_span.active()) {
-          condition_span.AddAttribute(
-              "source", ctx->cache->Contains(condition.subjective)
-                            ? "cache_hit"
-                            : "cache_miss");
-        }
-        const std::vector<double>* cached =
-            ctx->cache->TryDegrees(condition.subjective, deadline);
-        if (cached == nullptr) {
-          // Deadline fired before the miss finished computing; the
-          // incomplete list was discarded, so nothing here is exact.
-          auto& list = ctx->computed[c];
-          list.assign(num_entities, 0.0);
-          ctx->degrees[c] = &list;
-          watermark = 0;
-          condition_span.AddAttribute("deadline_abandoned", true);
-          continue;
-        }
-        ctx->degrees[c] = cached;
-        continue;
-      } catch (const std::exception&) {
-        // Cache path unusable (injected fault, broken compute): fall
-        // back to computing this condition's list locally — the query
-        // keeps serving, just without the shared cache.
-        use_cache = false;
-        ctx->degraded.store(true, std::memory_order_relaxed);
-        OPINEDB_METRIC_COUNT("engine.fallback.cache", 1);
-        condition_span.AddAttribute("source", "cache_fallback");
-      }
-    } else {
-      condition_span.AddAttribute("source", "computed");
+    // The memo slot of this condition, when the interpretation cache is
+    // on: a resident list is served as is (it was computed by the same
+    // scorer from the same interpretation, so it is bit-identical).
+    std::shared_ptr<const std::vector<double>>* memo =
+        ctx->memo_lists != nullptr ? &(*ctx->memo_lists)[c] : nullptr;
+    if (memo != nullptr && *memo != nullptr) {
+      condition_span.AddAttribute("source", "cache_hit");
+      ctx->degrees[c] = memo->get();
+      continue;
     }
+    condition_span.AddAttribute("source",
+                                memo != nullptr ? "cache_miss" : "computed");
     auto& list = ctx->computed[c];
     try {
       OPINEDB_FAULT("score.alloc");
@@ -164,12 +136,14 @@ Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
     const ConditionScorer scorer(db, condition.subjective,
                                  ctx->output->interpretations[c],
                                  (*ctx->reps)[c], (*ctx->sentis)[c]);
+    std::atomic<bool> entity_fallback{false};
     auto score_entity = [&](size_t e) {
       try {
         list[e] = scorer.Score(e);
       } catch (const std::exception&) {
         // Per-entity failure: degrade this entity one cascade stage, to
         // the text-retrieval score, rather than losing the whole list.
+        entity_fallback.store(true, std::memory_order_relaxed);
         ctx->degraded.store(true, std::memory_order_relaxed);
         OPINEDB_METRIC_COUNT("engine.fallback.entity", 1);
         try {
@@ -184,7 +158,10 @@ Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
     // slot, so the result is bit-identical to serial — and to the dense
     // scan, because per-entity degrees are independent of the candidate
     // set. All deadline bookkeeping is gated on deadline_active, so the
-    // unbounded path runs the exact pre-deadline loop.
+    // unbounded path runs the exact pre-deadline loop. A list bound for
+    // the memo covers every entity, so it also serves later queries
+    // with other candidate sets.
+    const bool dense = ctx->candidates_are_all || memo != nullptr;
     std::mutex ranges_mu;
     std::vector<std::pair<size_t, size_t>> done_ranges;
     auto score_range = [&](size_t begin, size_t end) {
@@ -194,22 +171,39 @@ Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
             deadline->Expired()) {
           break;
         }
-        score_entity(entity_at(i));
+        score_entity(dense ? i : ctx->candidates[i]);
       }
       if (deadline_active) {
         std::lock_guard<std::mutex> guard(ranges_mu);
         done_ranges.emplace_back(begin, i);
       }
     };
-    const size_t positions = ctx->num_candidates();
+    const size_t positions = dense ? num_entities : ctx->candidates.size();
     if (ThreadPool* pool = db.pool()) {
       pool->ParallelFor(0, positions, score_range, /*min_grain=*/8,
                         should_stop);
     } else if (should_stop == nullptr || !(*should_stop)()) {
       score_range(0, positions);
     }
+    size_t covered = positions;
     if (deadline_active) {
-      watermark = std::min(watermark, CoveredPrefix(&done_ranges));
+      covered = CoveredPrefix(&done_ranges);
+      // Over all entities but ranking candidates: the exact candidates
+      // are the (ascending) ones below the covered entity prefix.
+      const size_t exact_candidates =
+          dense && !ctx->candidates_are_all
+              ? static_cast<size_t>(
+                    std::lower_bound(ctx->candidates.begin(),
+                                     ctx->candidates.end(), covered) -
+                    ctx->candidates.begin())
+              : covered;
+      watermark = std::min(watermark, exact_candidates);
+    }
+    if (memo != nullptr && covered == positions &&
+        !entity_fallback.load(std::memory_order_relaxed)) {
+      *memo = std::make_shared<const std::vector<double>>(std::move(list));
+      ctx->degrees[c] = memo->get();
+      continue;
     }
     ctx->degrees[c] = &list;
   }

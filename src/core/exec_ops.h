@@ -2,6 +2,7 @@
 #define OPINEDB_CORE_EXEC_OPS_H_
 
 #include <atomic>
+#include <memory>
 #include <vector>
 
 #include "common/deadline.h"
@@ -10,8 +11,6 @@
 #include "core/planner.h"
 
 namespace opinedb::core {
-
-class DegreeCache;
 
 /// Shared state threaded through the physical operator chain. The
 /// engine fills the borrowed pointers (query, plan, interpretation
@@ -26,8 +25,14 @@ struct ExecContext {
   const SubjectiveQuery* query = nullptr;
   const LogicalPlan* logical = nullptr;
   const storage::Table* table = nullptr;
-  /// Attached degree cache; nullptr when none.
-  DegreeCache* cache = nullptr;
+  /// Degree lists of the interpretation cache, indexed by condition;
+  /// nullptr when that cache is off. SubjectiveScoreOp serves a
+  /// non-null slot as the condition's list; for a null slot it scores
+  /// every entity (not just the candidates) and, when the list comes out
+  /// complete and free of per-entity fallbacks, publishes it into the
+  /// slot for the engine to insert.
+  std::vector<std::shared_ptr<const std::vector<double>>>* memo_lists =
+      nullptr;
   /// Destination: interpretations (already filled), results.
   QueryResult* output = nullptr;
   /// Per-condition query representations from the interpret prologue
@@ -48,7 +53,7 @@ struct ExecContext {
   }
 
   /// Degree lists: computed[c] owns lists built this query; degrees[c]
-  /// points either there or into the cache.
+  /// points either there or into a memo_lists slot.
   std::vector<std::vector<double>> computed;
   std::vector<const std::vector<double>*> degrees;
   /// Combined WHERE score per entity (RankOp scratch).
@@ -92,8 +97,8 @@ class ObjectiveFilterOp : public ExecOp {
 
 /// Materializes the per-condition degree lists restricted to the
 /// candidate set: objective conditions as 0/1 vectors (column bound
-/// once), subjective conditions through the degree cache when attached
-/// or a parallel slot-per-entity computation otherwise.
+/// once), subjective conditions from the interpretation cache's resident
+/// list when there is one, or a parallel slot-per-entity computation.
 class SubjectiveScoreOp : public ExecOp {
  public:
   const char* name() const override { return "score"; }

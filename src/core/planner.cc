@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "common/string_util.h"
-#include "core/degree_cache.h"
 
 namespace opinedb::core {
 
@@ -234,11 +233,6 @@ std::string ExplainPlan(const SubjectiveQuery& query,
         }
       } else {
         out += "subjective \"" + condition.subjective + "\"";
-        if (context.cache != nullptr) {
-          out += context.cache->Contains(condition.subjective)
-                     ? " [cached]"
-                     : " [uncached]";
-        }
       }
       out += '\n';
     }

@@ -10,8 +10,6 @@
 
 namespace opinedb::core {
 
-class DegreeCache;
-
 /// Physical plan shapes for ExecuteQuery. Every shape is bit-identical
 /// to kDenseScan — the planner only ever trades work, never results
 /// (see docs/QUERY_PLANNER.md for the equivalence arguments).
@@ -50,9 +48,6 @@ struct LogicalPlan {
 /// What SelectPlan needs to know about the execution environment.
 struct PlannerContext {
   size_t num_entities = 0;
-  /// The attached degree cache, or nullptr (EXPLAIN marks which
-  /// subjective conditions it already holds).
-  const DegreeCache* cache = nullptr;
   PlanForce force = PlanForce::kAuto;
   fuzzy::Variant variant = fuzzy::Variant::kProduct;
 };

@@ -78,7 +78,13 @@ std::string ResultToJson(const QueryResult& result,
     out += ",\n  \"interpretations\": [";
     for (size_t i = 0; i < result.interpretations.size(); ++i) {
       out += i > 0 ? ",\n    " : "\n    ";
-      AppendInterpretation(result.interpretations[i], &out);
+      // An objective condition has no interpretation; its placeholder
+      // must not read as an atom-less text fallback.
+      if (i < result.objective_slots.size() && result.objective_slots[i]) {
+        out += "null";
+      } else {
+        AppendInterpretation(result.interpretations[i], &out);
+      }
     }
     out += result.interpretations.empty() ? "]" : "\n  ]";
   }

@@ -13,7 +13,8 @@ namespace opinedb::core {
 /// bit-identity contract (tests/server_test.cc). Traces (span timings)
 /// vary run to run, so they are opt-in.
 struct ResultJsonOptions {
-  /// Per-condition interpretations (method, confidence, A.m atoms).
+  /// Per-condition interpretations (method, confidence, A.m atoms;
+  /// null for an objective condition).
   bool include_interpretations = true;
   /// The per-query span tree (requires trace_level == kFull; silently
   /// omitted when QueryResult::trace is null). Nondeterministic.

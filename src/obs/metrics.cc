@@ -34,7 +34,7 @@ void SetMetricsEnabled(bool enabled) {
 
 size_t MetricsRegistry::Counter::ShardIndex() {
   // One shard per thread (hashed): increments from different threads
-  // usually land on different cache lines, mirroring DegreeCache's
+  // usually land on different cache lines, mirroring the cache layers'
   // hash-sharding. The thread_local caches the hash computation.
   static thread_local const size_t shard =
       std::hash<std::thread::id>{}(std::this_thread::get_id()) % kNumShards;

@@ -2,11 +2,13 @@
 //
 // Two engines are built from the same seed — identical corpora, models
 // and summaries. Engine A serves with every cache enabled (result +
-// interpretation + attached degree cache); engine B serves bare. A
+// interpretation cache with its degree lists); engine B serves bare. A
 // seeded randomized operation stream — zipfian-skewed queries (with
-// whitespace/case predicate variants) interleaved with Reaggregate,
-// TrainMembership, SetNumThreads, SetTraceLevel and SaveDatabase →
-// OpenDatabase — is applied to BOTH engines in lockstep. After every
+// whitespace/case predicate variants) interleaved with AppendReviews,
+// Reaggregate, TrainMembership, SetNumThreads, SetTraceLevel, toggling
+// the result layer (so the degree lists answer dense and filtered
+// queries directly) and SaveDatabase → OpenDatabase — is applied to
+// BOTH engines in lockstep. After every
 // query the harness asserts bit-identical answers (entities, names,
 // scores, interpretations, partial/degraded flags); after every
 // mutation it asserts both engines' cache epochs advanced together,
@@ -31,7 +33,6 @@
 #include "cache/cache_config.h"
 #include "cache/interpretation_cache.h"
 #include "cache/result_cache.h"
-#include "core/degree_cache.h"
 #include "core/engine.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
@@ -109,12 +110,9 @@ class CacheEquivalenceTest : public ::testing::Test {
   static void SetUpTestSuite() {
     cached_ = new eval::DomainArtifacts(BuildEngine());
     bare_ = new eval::DomainArtifacts(BuildEngine());
-    degree_cache_ = new core::DegreeCache(cached_->db.get());
   }
 
   static void TearDownTestSuite() {
-    delete degree_cache_;
-    degree_cache_ = nullptr;
     delete cached_;
     cached_ = nullptr;
     delete bare_;
@@ -126,11 +124,9 @@ class CacheEquivalenceTest : public ::testing::Test {
     on.enable_interpretation = true;
     on.enable_results = true;
     cached().ConfigureCaches(on);
-    cached().AttachDegreeCache(degree_cache_);
   }
 
   void TearDown() override {
-    cached().AttachDegreeCache(nullptr);
     cached().ConfigureCaches(cache::CacheConfig());
     for (auto* db : {&cached(), &bare()}) {
       db->SetNumThreads(1);
@@ -164,12 +160,10 @@ class CacheEquivalenceTest : public ::testing::Test {
 
   static eval::DomainArtifacts* cached_;
   static eval::DomainArtifacts* bare_;
-  static core::DegreeCache* degree_cache_;
 };
 
 eval::DomainArtifacts* CacheEquivalenceTest::cached_ = nullptr;
 eval::DomainArtifacts* CacheEquivalenceTest::bare_ = nullptr;
-core::DegreeCache* CacheEquivalenceTest::degree_cache_ = nullptr;
 
 // The harness proper: 160 steps of zipfian-skewed queries with every
 // mutation class interleaved, equivalence checked at each step.
@@ -206,6 +200,8 @@ TEST_F(CacheEquivalenceTest, RandomizedStreamIsBitIdenticalUnderMutations) {
   // must refuse instead of silently wiping them (the FailedPrecondition
   // regression exercised below).
   bool authoritative = true;
+  // Result-cache hits across every incarnation of the result layer.
+  uint64_t result_hits = 0;
   const std::vector<std::string> review_bodies = {
       "the room was very clean and the staff was friendly",
       "terrible noisy location but the bed was comfortable",
@@ -235,8 +231,8 @@ TEST_F(CacheEquivalenceTest, RandomizedStreamIsBitIdenticalUnderMutations) {
       // Incremental ingest, applied to both engines in lockstep: one
       // batch built once, appended to each, exactly one epoch bump.
       // The cached engine's warm layers (lazily re-derived
-      // interpretations, refreshed degree lists, lazily expired results)
-      // must keep every later answer bit-identical to the bare engine.
+      // interpretations and degree lists, lazily expired results) must
+      // keep every later answer bit-identical to the bare engine.
       std::vector<text::Review> batch;
       const size_t batch_size = 1 + rng() % 3;
       for (size_t i = 0; i < batch_size; ++i) {
@@ -277,11 +273,21 @@ TEST_F(CacheEquivalenceTest, RandomizedStreamIsBitIdenticalUnderMutations) {
       const size_t threads = (rng() % 2 == 0) ? 1 : 8;
       cached().SetNumThreads(threads);
       bare().SetNumThreads(threads);
-    } else if (roll < 94) {
+    } else if (roll < 92) {
       const auto level = (rng() % 2 == 0) ? obs::TraceLevel::kOff
                                           : obs::TraceLevel::kFull;
       cached().SetTraceLevel(level);
       bare().SetTraceLevel(level);
+    } else if (roll < 94) {
+      // Execution reconfig: the interpretation layer stays warm while
+      // the result layer comes and goes, so repeated queries are also
+      // answered straight from resident degree lists.
+      cache::CacheConfig config = cached().options().cache;
+      if (cached().result_cache() != nullptr) {
+        result_hits += cached().result_cache()->hits();
+      }
+      config.enable_results = !config.enable_results;
+      cached().ConfigureCaches(config);
     } else if (roll < 97) {
       // Same tuples, same seed → same model on both sides. Derived from
       // the cached engine, but both engines are bit-identical here so
@@ -307,8 +313,10 @@ TEST_F(CacheEquivalenceTest, RandomizedStreamIsBitIdenticalUnderMutations) {
   }
 
   // The stream must actually have exercised the caches.
-  ASSERT_NE(cached().result_cache(), nullptr);
-  EXPECT_GT(cached().result_cache()->hits(), 0u)
+  if (cached().result_cache() != nullptr) {
+    result_hits += cached().result_cache()->hits();
+  }
+  EXPECT_GT(result_hits, 0u)
       << "the zipfian stream never hit the result cache";
   ASSERT_NE(cached().interpretation_cache(), nullptr);
   EXPECT_GT(cached().interpretation_cache()->hits(), 0u);
@@ -345,6 +353,31 @@ TEST_F(CacheEquivalenceTest, WarmHitsMatchAtEveryThreadCountAndTraceLevel) {
       ASSERT_TRUE(reference.ok()) << reference.status().ToString();
       ExpectBitIdentical(*hit, *reference, threads);
       ExpectBitIdentical(*fill, *reference, threads);
+    }
+  }
+}
+
+// The degree lists alone (result layer off): every query shape — dense,
+// conjunctive, disjunctive, filtered, negated — answers bit-identically
+// from a cold fill and from warm lists, serial and parallel.
+TEST_F(CacheEquivalenceTest, WarmDegreeListsMatchDenseAndFiltered) {
+  cached().ConfigureCaches({.enable_interpretation = true});
+  const cache::InterpretationCache& memo = *cached().interpretation_cache();
+  for (const size_t threads : {size_t{1}, size_t{8}}) {
+    cached().SetNumThreads(threads);
+    bare().SetNumThreads(threads);
+    cached().interpretation_cache()->Clear();
+    for (const auto& sql : QueryPool()) {
+      auto reference = bare().Execute(sql);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      auto cold = cached().Execute(sql);
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      const uint64_t misses_before = memo.misses();
+      auto warm = cached().Execute(sql);
+      ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+      EXPECT_EQ(memo.misses(), misses_before) << sql;
+      ExpectBitIdentical(*cold, *reference, threads);
+      ExpectBitIdentical(*warm, *reference, threads);
     }
   }
 }

@@ -10,7 +10,9 @@
 //    serialized form (bit-exact round trip, byte-identical re-save).
 //  - Engine never-cache rules: EXPLAIN and forced-plan queries bypass
 //    the result cache; partial (deadline) and degraded (fault) results
-//    are never inserted; hits are bit-identical at every trace level.
+//    are never inserted; hits are bit-identical at every trace level;
+//    SetQueryOptions invalidates what a knob change makes stale.
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "cache/result_cache.h"
 #include "common/deadline.h"
 #include "common/fault.h"
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "core/planner.h"
 #include "core/query.h"
@@ -313,6 +316,25 @@ TEST(InterpretationCacheTest, SaveKeepsOnlyCurrentEpochEntries) {
       << "a stale-epoch entry round-tripped as fresh";
 }
 
+// Concurrent misses race: one query may re-insert the interpretation
+// after another inserted it together with its degree list. The list
+// must survive at the same epoch, and a later epoch replaces it.
+TEST(InterpretationCacheTest, ListlessInsertKeepsResidentList) {
+  InterpretationCache cache;
+  auto with_list = MakeEntry(3);
+  with_list.degrees =
+      std::make_shared<const std::vector<double>>(std::vector{0.25, 0.5});
+  cache.Insert("clean rooms", with_list);
+  cache.Insert("clean rooms", MakeEntry(3));
+  InterpretationCache::Entry out;
+  ASSERT_TRUE(cache.Lookup("clean rooms", 3, &out));
+  ASSERT_NE(out.degrees, nullptr);
+  EXPECT_EQ(*out.degrees, *with_list.degrees);
+  cache.Insert("clean rooms", MakeEntry(4));
+  ASSERT_TRUE(cache.Lookup("clean rooms", 4, &out));
+  EXPECT_EQ(out.degrees, nullptr);
+}
+
 // ------------------------------------------- engine never-cache rules.
 
 class CacheEngineTest : public ::testing::Test {
@@ -329,6 +351,16 @@ class CacheEngineTest : public ::testing::Test {
     options.membership_training_tuples = 400;
     artifacts_ = new eval::DomainArtifacts(
         eval::BuildArtifacts(datagen::HotelDomain(), options));
+    // The first pool predicate the cascade maps onto marker atoms, so
+    // hits and fills are checked on the columnar atom-scoring path,
+    // not just on BM25 text retrieval.
+    for (const auto& predicate : artifacts_->pool) {
+      if (!artifacts_->db->interpreter().Interpret(predicate.text)
+               .atoms.empty()) {
+        predicate_ = predicate.text;
+        break;
+      }
+    }
   }
 
   static void TearDownTestSuite() {
@@ -337,6 +369,12 @@ class CacheEngineTest : public ::testing::Test {
   }
 
   void SetUp() override {
+    ASSERT_FALSE(predicate_.empty())
+        << "fixture pool has no predicate interpreted onto atoms";
+    const auto interpretation = db().interpreter().Interpret(predicate_);
+    ASSERT_NE(interpretation.method, core::InterpretMethod::kTextFallback);
+    ASSERT_FALSE(interpretation.atoms.empty());
+    saved_options_ = db().options();
     cache::CacheConfig on;
     on.enable_interpretation = true;
     on.enable_results = true;
@@ -344,7 +382,7 @@ class CacheEngineTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    db().mutable_options()->force_plan = core::PlanForce::kAuto;
+    db().SetQueryOptions(saved_options_);
     db().ConfigureCaches(cache::CacheConfig());
     if (fault::CompiledIn()) fault::DisarmAll();
   }
@@ -352,14 +390,17 @@ class CacheEngineTest : public ::testing::Test {
   static core::OpineDb& db() { return *artifacts_->db; }
 
   static std::string Sql() {
-    return "select * from hotels where \"" + artifacts_->pool[0].text +
-           "\" limit 5";
+    return "select * from hotels where \"" + predicate_ + "\" limit 5";
   }
 
   static eval::DomainArtifacts* artifacts_;
+  /// See SetUpTestSuite.
+  static std::string predicate_;
+  core::EngineOptions saved_options_;
 };
 
 eval::DomainArtifacts* CacheEngineTest::artifacts_ = nullptr;
+std::string CacheEngineTest::predicate_;
 
 void ExpectBitIdentical(const core::QueryResult& reference,
                         const core::QueryResult& actual) {
@@ -403,8 +444,8 @@ TEST_F(CacheEngineTest, HitIsBitIdenticalAcrossTraceLevels) {
 // for a dense scan and for a filtered scan that scores fewer entities.
 TEST_F(CacheEngineTest, HitRendersTheSameJsonAsItsFill) {
   const std::string filtered =
-      "select * from hotels where price_pn < 300 and \"" +
-      artifacts_->pool[0].text + "\" limit 5";
+      "select * from hotels where price_pn < 300 and \"" + predicate_ +
+      "\" limit 5";
   for (const std::string& sql : {Sql(), filtered}) {
     SCOPED_TRACE(sql);
     auto fill = db().Execute(sql);
@@ -435,7 +476,11 @@ TEST_F(CacheEngineTest, ForcedPlansBypassTheResultCache) {
   auto fill = db().Execute(Sql());
   ASSERT_TRUE(fill.ok()) << fill.status().ToString();
   ASSERT_EQ(db().result_cache()->size(), 1u);
-  db().mutable_options()->force_plan = core::PlanForce::kDenseScan;
+  core::EngineOptions dense = db().options();
+  dense.force_plan = core::PlanForce::kDenseScan;
+  db().SetQueryOptions(dense);
+  // A forced shape changes no answer, so the caches stay warm.
+  EXPECT_EQ(db().result_cache()->size(), 1u);
   const uint64_t hits_before = db().result_cache()->hits();
   auto forced = db().Execute(Sql());
   ASSERT_TRUE(forced.ok()) << forced.status().ToString();
@@ -488,7 +533,7 @@ TEST_F(CacheEngineTest, PredicateDegreeOfTruthCountsInterpretationHits) {
   const auto* misses = registry.GetCounter("engine.cache.interp_miss");
   const uint64_t hits_before = hits->Value();
   const uint64_t misses_before = misses->Value();
-  const std::string& predicate = artifacts_->pool[0].text;
+  const std::string& predicate = predicate_;
   const double first = db().PredicateDegreeOfTruth(predicate, 0);
   const double second = db().PredicateDegreeOfTruth(predicate, 0);
   db().SetTraceLevel(obs::TraceLevel::kOff);
@@ -542,6 +587,88 @@ TEST_F(CacheEngineTest, EpochBumpInvalidatesWholesale) {
   ASSERT_TRUE(cache_free.ok()) << cache_free.status().ToString();
   ExpectBitIdentical(*cache_free, *after);
   db().Reaggregate(original);
+}
+
+// An objective condition has no interpretation: its slot renders as
+// null, never as something that reads like a real atom-less text
+// fallback — on the fill and on the hit alike.
+TEST_F(CacheEngineTest, ObjectiveSlotsRenderAsNull) {
+  const std::string sql = "select * from hotels where price_pn < 300 and \"" +
+                          predicate_ + "\" limit 5";
+  auto fill = db().Execute(sql);
+  ASSERT_TRUE(fill.ok()) << fill.status().ToString();
+  auto hit = db().Execute(sql);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  const std::string json = core::ResultToJson(*fill);
+  EXPECT_NE(json.find("\"interpretations\": [\n    null,\n    {\"method\": "
+                      "\"" +
+                      std::string(core::InterpretMethodName(
+                          fill->interpretations[1].method)) +
+                      "\""),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("text_fallback"), std::string::npos) << json;
+  EXPECT_EQ(json, core::ResultToJson(*hit));
+}
+
+/// Renders `sql` on a cache-free pass (the reference an engine with warm
+/// caches must match byte for byte). Leaves the caches configured as
+/// before but empty.
+std::string UncachedJson(core::OpineDb& db, const std::string& sql) {
+  const cache::CacheConfig config = db.options().cache;
+  db.ConfigureCaches(cache::CacheConfig());
+  auto result = db.Execute(sql);
+  db.ConfigureCaches(config);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? core::ResultToJson(*result) : "";
+}
+
+// Changing the t-norm changes every conjunctive score, so a warm result
+// cache must not keep serving the old variant's ranking.
+TEST_F(CacheEngineTest, VariantChangeInvalidatesTheResultCache) {
+  const std::string second = predicate_ == artifacts_->pool[0].text
+                                 ? artifacts_->pool[1].text
+                                 : artifacts_->pool[0].text;
+  const std::string sql = "select * from hotels where \"" + predicate_ +
+                          "\" and \"" + second + "\" limit 5";
+  const std::string product_json = UncachedJson(db(), sql);
+  ASSERT_TRUE(db().Execute(sql).ok());  // Warms the result cache.
+  ASSERT_EQ(db().result_cache()->size(), 1u);
+  const uint64_t epoch = db().cache_epoch();
+  core::EngineOptions godel = db().options();
+  godel.variant = fuzzy::Variant::kGodel;
+  db().SetQueryOptions(godel);
+  EXPECT_EQ(db().cache_epoch(), epoch + 1);
+  auto served = db().Execute(sql);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  const std::string godel_json = UncachedJson(db(), sql);
+  ASSERT_NE(godel_json, product_json) << "the variants agree on this query";
+  EXPECT_EQ(core::ResultToJson(*served), godel_json);
+}
+
+// The no-marker ablation scores atoms from the extraction relation
+// instead of the marker summaries; warm degree lists computed with
+// markers must not answer for it.
+TEST_F(CacheEngineTest, UseMarkersChangeInvalidatesDegreeLists) {
+  const std::string sql = Sql();
+  const std::string markers_json = UncachedJson(db(), sql);
+  ASSERT_TRUE(db().Execute(sql).ok());  // Warms the degree list.
+  cache::InterpretationCache::Entry entry;
+  ASSERT_TRUE(db().interpretation_cache()->Lookup(
+      NormalizePredicate(predicate_), db().cache_epoch(), &entry));
+  ASSERT_NE(entry.degrees, nullptr);
+  // Served from the list, not from the result cache.
+  db().ConfigureCaches({.enable_interpretation = true});
+  core::EngineOptions no_markers = db().options();
+  no_markers.use_markers = false;
+  db().SetQueryOptions(no_markers);
+  EXPECT_EQ(db().interpretation_cache()->size(), 0u);
+  auto served = db().Execute(sql);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  const std::string no_markers_json = UncachedJson(db(), sql);
+  ASSERT_NE(no_markers_json, markers_json)
+      << "the ablation agrees with the marker path on this query";
+  EXPECT_EQ(core::ResultToJson(*served), no_markers_json);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 
 #include "common/rng.h"
 #include "core/columnar.h"
-#include "core/degree_cache.h"
 #include "core/engine.h"
 #include "datagen/domain_spec.h"
 #include "datagen/scale.h"
@@ -153,14 +152,21 @@ void RunColumnarSweep(core::OpineDb& db, const storage::Table& table,
   db.SetTraceLevel(obs::TraceLevel::kOff);
 }
 
-/// The same sweep over an attached degree cache: the first run of each
-/// predicate materializes its list, every later one is served warm.
+/// The same sweep with the interpretation cache on: the first run of
+/// each predicate materializes its degree list, every later one is
+/// served warm.
 void RunWarmCacheSweep(core::OpineDb& db, const storage::Table& table,
                        const std::vector<std::string>& queries) {
-  core::DegreeCache cache(&db);
-  db.AttachDegreeCache(&cache);
+  db.ConfigureCaches({.enable_interpretation = true});
   RunColumnarSweep(db, table, queries);
-  db.AttachDegreeCache(nullptr);
+  db.ConfigureCaches({});
+}
+
+/// Sets the Table 7 ablation knob.
+void SetUseMarkers(core::OpineDb& db, bool use_markers) {
+  core::EngineOptions options = db.options();
+  options.use_markers = use_markers;
+  db.SetQueryOptions(options);
 }
 
 // ------------------------------------- Hotel / restaurant fixtures.
@@ -318,7 +324,7 @@ TEST_P(ColumnarEquivalenceTest, NoMarkerAblationMatchesRowReference) {
   eval::DomainArtifacts& artifacts = Fixture(GetParam());
   core::OpineDb& db = *artifacts.db;
   const uint64_t seed = Seed(GetParam());
-  db.mutable_options()->use_markers = false;
+  SetUseMarkers(db, false);
   ASSERT_TRUE(db.TrainMembership(eval::MakeMembershipTuples(
                                      db, artifacts.domain, artifacts.pool,
                                      500, /*use_markers=*/false, seed + 2),
@@ -347,7 +353,7 @@ TEST_P(ColumnarEquivalenceTest, NoMarkerAblationMatchesRowReference) {
 
   // Restore the fixture's marker-mode engine exactly as BuildArtifacts
   // left it.
-  db.mutable_options()->use_markers = true;
+  SetUseMarkers(db, true);
   ASSERT_TRUE(db.TrainMembership(eval::MakeMembershipTuples(
                                      db, artifacts.domain, artifacts.pool,
                                      500, /*use_markers=*/true, seed + 2),

@@ -1,19 +1,22 @@
 // Concurrency and determinism tests for the parallel execution layer:
 // multi-threaded query execution must be bit-identical to serial on both
-// integration fixtures, the thread-safe DegreeCache must be coherent
-// under concurrent hammering, and the ThreadPool itself must partition
+// integration fixtures, the degree lists of the thread-safe
+// interpretation cache must be coherent under concurrent hammering, and
+// the ThreadPool itself must partition
 // deterministically. Run these under -DOPINEDB_SANITIZE=thread — they
 // are the race-detection gate (see docs/SANITIZERS.md).
 #include <atomic>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cache/interpretation_cache.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "core/degree_cache.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
 #include "obs/trace.h"
@@ -215,27 +218,74 @@ TEST_P(ConcurrencyTest, ParallelQueriesBitIdenticalToSerial) {
   db.SetNumThreads(1);
 }
 
-TEST_P(ConcurrencyTest, DegreeCacheContentsBitIdenticalToSerial) {
-  core::OpineDb& db = Fixture(GetParam());
-  db.SetNumThreads(1);
-  core::DegreeCache serial_cache(&db);
-  ASSERT_GT(serial_cache.PrecomputeMarkers(), 0u);
+/// The fixture's table name.
+std::string TableOf(const std::string& domain) {
+  return domain == "hotel" ? "hotels" : "restaurants";
+}
 
-  db.SetNumThreads(4);
-  core::DegreeCache parallel_cache(&db);
-  EXPECT_EQ(parallel_cache.PrecomputeMarkers(), serial_cache.size());
-  EXPECT_EQ(parallel_cache.size(), serial_cache.size());
+/// Every marker phrase of the schema, in schema order.
+std::vector<std::string> Markers(const core::OpineDb& db) {
+  std::vector<std::string> markers;
   for (const auto& attribute : db.schema().attributes) {
     for (const auto& marker : attribute.summary_type.markers) {
-      ASSERT_TRUE(parallel_cache.Contains(marker)) << marker;
-      const auto& serial = serial_cache.Degrees(marker);
-      const auto& parallel = parallel_cache.Degrees(marker);
-      ASSERT_EQ(serial.size(), parallel.size());
-      for (size_t e = 0; e < serial.size(); ++e) {
-        EXPECT_EQ(serial[e], parallel[e]) << marker << " entity " << e;
-      }
+      markers.push_back(marker);
     }
   }
+  return markers;
+}
+
+/// The resident degree list of `predicate` at the current epoch, or
+/// nullptr.
+std::shared_ptr<const std::vector<double>> ResidentList(
+    const core::OpineDb& db, const std::string& predicate) {
+  cache::InterpretationCache::Entry entry;
+  if (!db.interpretation_cache()->Lookup(NormalizePredicate(predicate),
+                                         db.cache_epoch(), &entry)) {
+    return nullptr;
+  }
+  return entry.degrees;
+}
+
+/// Fills the degree list of `predicate` with one single-predicate query
+/// and returns it.
+std::shared_ptr<const std::vector<double>> FillList(
+    const core::OpineDb& db, const std::string& table,
+    const std::string& predicate) {
+  auto run = db.Execute("select * from " + table + " where \"" + predicate +
+                        "\" limit 3");
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  return ResidentList(db, predicate);
+}
+
+TEST_P(ConcurrencyTest, DegreeCacheContentsBitIdenticalToSerial) {
+  core::OpineDb& db = Fixture(GetParam());
+  const std::string table = TableOf(GetParam());
+  const auto markers = Markers(db);
+  ASSERT_FALSE(markers.empty());
+  db.SetNumThreads(1);
+  db.ConfigureCaches({.enable_interpretation = true});
+  std::vector<std::vector<double>> serial;
+  for (const auto& marker : markers) {
+    const auto list = FillList(db, table, marker);
+    ASSERT_NE(list, nullptr) << marker;
+    serial.push_back(*list);
+  }
+  const size_t resident = db.interpretation_cache()->size();
+  db.ConfigureCaches({});
+
+  db.SetNumThreads(4);
+  db.ConfigureCaches({.enable_interpretation = true});
+  for (size_t m = 0; m < markers.size(); ++m) {
+    const auto parallel = FillList(db, table, markers[m]);
+    ASSERT_NE(parallel, nullptr) << markers[m];
+    ASSERT_EQ(serial[m].size(), parallel->size());
+    for (size_t e = 0; e < serial[m].size(); ++e) {
+      EXPECT_EQ(serial[m][e], (*parallel)[e])
+          << markers[m] << " entity " << e;
+    }
+  }
+  EXPECT_EQ(db.interpretation_cache()->size(), resident);
+  db.ConfigureCaches({});
   db.SetNumThreads(1);
 }
 
@@ -250,7 +300,7 @@ TEST_P(ConcurrencyTest, TraceAndWatermarkArePopulated) {
   auto spans = SpansByName(*result);
   ASSERT_EQ(spans.count("execute_query"), 1u);
   EXPECT_EQ(spans["execute_query"].Attribute("threads"), "2");
-  // Without an attached cache every subjective list is computed.
+  // With caching off every subjective list is computed.
   ASSERT_EQ(spans.count("score.condition"), 1u);
   EXPECT_EQ(spans["score.condition"].Attribute("source"), "computed");
   for (const char* phase :
@@ -268,17 +318,17 @@ TEST_P(ConcurrencyTest, AttachedCacheServesHitsWithIdenticalResults) {
   auto uncached = db.Execute(sql);
   ASSERT_TRUE(uncached.ok());
 
-  core::DegreeCache cache(&db);
-  db.AttachDegreeCache(&cache);
+  db.ConfigureCaches({.enable_interpretation = true});
+  const cache::InterpretationCache& memo = *db.interpretation_cache();
   auto cold = db.Execute(sql);
   ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(memo.hits(), 0u);
+  EXPECT_EQ(memo.misses(), 1u);
   auto warm = db.Execute(sql);
   ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  db.AttachDegreeCache(nullptr);
+  EXPECT_EQ(memo.hits(), 1u);
+  EXPECT_EQ(memo.misses(), 1u);
+  db.ConfigureCaches({});
   db.SetNumThreads(1);
 
   ExpectIdenticalResults(*uncached, *cold);
@@ -338,24 +388,17 @@ TEST_P(ConcurrencyTest, FullTracingPreservesBitIdentityContract) {
 TEST_P(ConcurrencyTest, SharedDegreeCacheSurvivesEightThreadHammer) {
   core::OpineDb& db = Fixture(GetParam());
   db.SetNumThreads(4);  // Workers live under the stress threads too.
-  core::DegreeCache cache(&db);
+  const std::string table = TableOf(GetParam());
 
   // Overlapping predicate sets: every thread touches every predicate,
   // in a rotated order, so insert races are guaranteed.
-  std::vector<std::string> predicates;
-  for (const auto& attribute : db.schema().attributes) {
-    for (const auto& marker : attribute.summary_type.markers) {
-      predicates.push_back(marker);
-    }
-  }
+  const std::vector<std::string> predicates = Markers(db);
   ASSERT_GE(predicates.size(), 4u);
 
-  // Half the threads run a conjunctive query over the first two lists
-  // through the attached cache while the others insert, so readers race
-  // the shard locks from inside Execute too. Every answer must equal the
-  // uncached reference bit for bit.
-  const std::string table =
-      std::string(GetParam()) == "hotel" ? "hotels" : "restaurants";
+  // Half the threads also run a conjunctive query over the first two
+  // lists, so multi-condition readers race the single-predicate fills
+  // on the shard locks. Every answer must equal the uncached reference
+  // bit for bit.
   const std::string conj_sql = "select * from " + table + " where \"" +
                                predicates[0] + "\" and \"" +
                                predicates[1] + "\" limit 3";
@@ -371,7 +414,7 @@ TEST_P(ConcurrencyTest, SharedDegreeCacheSurvivesEightThreadHammer) {
     }
     return true;
   };
-  db.AttachDegreeCache(&cache);
+  db.ConfigureCaches({.enable_interpretation = true});
 
   constexpr int kThreads = 8;
   constexpr int kRounds = 3;
@@ -383,11 +426,11 @@ TEST_P(ConcurrencyTest, SharedDegreeCacheSurvivesEightThreadHammer) {
         for (size_t i = 0; i < predicates.size(); ++i) {
           const auto& predicate =
               predicates[(i + static_cast<size_t>(t)) % predicates.size()];
-          const auto& degrees = cache.Degrees(predicate);
-          if (degrees.size() != db.corpus().num_entities()) {
+          const auto degrees = FillList(db, table, predicate);
+          if (degrees == nullptr ||
+              degrees->size() != db.corpus().num_entities()) {
             failures.fetch_add(1);
           }
-          if (!cache.Contains(predicate)) failures.fetch_add(1);
         }
         if (t % 2 == 0) {
           auto run = db.Execute(conj_sql);
@@ -397,25 +440,30 @@ TEST_P(ConcurrencyTest, SharedDegreeCacheSurvivesEightThreadHammer) {
     });
   }
   for (auto& hammer : hammers) hammer.join();
-  db.AttachDegreeCache(nullptr);
   EXPECT_EQ(failures.load(), 0);
 
-  // Coherence after the dust settles: contents equal a serial cache.
-  db.SetNumThreads(1);
-  core::DegreeCache serial_cache(&db);
+  // Coherence after the dust settles: every resident list equals the
+  // serial, uncached per-entity evaluation.
+  std::vector<std::shared_ptr<const std::vector<double>>> lists;
   for (const auto& predicate : predicates) {
-    const auto& expected = serial_cache.Degrees(predicate);
-    const auto& actual = cache.Degrees(predicate);
-    ASSERT_EQ(expected.size(), actual.size());
-    for (size_t e = 0; e < expected.size(); ++e) {
-      EXPECT_EQ(expected[e], actual[e]) << predicate << " entity " << e;
-    }
+    lists.push_back(ResidentList(db, predicate));
   }
-  const auto stats = cache.stats();
+  const cache::InterpretationCache& memo = *db.interpretation_cache();
   // Every unique predicate was computed at least once and most lookups
   // were served from the cache.
-  EXPECT_GE(stats.misses, 1u);
-  EXPECT_GT(stats.hits, stats.misses);
+  EXPECT_GE(memo.misses(), 1u);
+  EXPECT_GT(memo.hits(), memo.misses());
+  db.ConfigureCaches({});
+  db.SetNumThreads(1);
+  for (size_t p = 0; p < predicates.size(); ++p) {
+    ASSERT_NE(lists[p], nullptr) << predicates[p];
+    for (size_t e = 0; e < lists[p]->size(); ++e) {
+      EXPECT_EQ((*lists[p])[e],
+                db.PredicateDegreeOfTruth(predicates[p],
+                                          static_cast<text::EntityId>(e)))
+          << predicates[p] << " entity " << e;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Domains, ConcurrencyTest,

@@ -15,7 +15,6 @@
 
 #include "common/deadline.h"
 #include "common/timer.h"
-#include "core/degree_cache.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
 #include "obs/trace.h"
@@ -159,15 +158,60 @@ TEST_F(DeadlineTest, PartialResultsCarryExactScores) {
   db().SetNumThreads(1);
 }
 
+// With the interpretation cache on, a miss scores every entity to fill
+// the predicate's degree list, also under a filtered scan. A deadline
+// that cuts that fill short still yields a prefix-consistent answer
+// with exact scores, and the cut list never becomes resident: the next
+// unbounded run answers exactly like the uncached engine.
+TEST_F(DeadlineTest, CutDegreeListFillsStayExactAndUncached) {
+  for (const auto& sql : Queries()) {
+    auto reference = db().Execute(sql);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    auto unlimited = db().Execute(sql.substr(0, sql.rfind(" limit ")) +
+                                  " limit 1000");
+    ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
+    std::map<text::EntityId, double> exact;
+    for (const auto& r : unlimited->results) exact[r.entity] = r.score;
+    for (const double budget_ms : {0.0, 0.01, 0.05, 0.2, 1.0}) {
+      for (const size_t threads : {1, 8}) {
+        SCOPED_TRACE(sql + " budget=" + std::to_string(budget_ms) +
+                     " threads=" + std::to_string(threads));
+        db().SetNumThreads(threads);
+        db().ConfigureCaches({.enable_interpretation = true});
+        core::QueryControl control;
+        control.deadline = QueryDeadline::AfterMillis(budget_ms);
+        auto run = db().Execute(sql, control);
+        ASSERT_TRUE(run.ok()) << run.status().ToString();
+        EXPECT_LE(run->watermark, unlimited->watermark);
+        for (const auto& r : run->results) {
+          auto it = exact.find(r.entity);
+          ASSERT_NE(it, exact.end()) << "entity " << r.entity;
+          EXPECT_EQ(r.score, it->second) << "entity " << r.entity;
+        }
+        auto after = db().Execute(sql);
+        ASSERT_TRUE(after.ok()) << after.status().ToString();
+        EXPECT_FALSE(after->partial);
+        ExpectBitIdentical(*reference, *after);
+        db().ConfigureCaches({});
+      }
+    }
+  }
+  db().SetNumThreads(1);
+}
+
 // A deadline that never fires must be invisible: bit-identical to the
 // unbounded run across threads x trace x forced plans.
 TEST_F(DeadlineTest, HugeBudgetBitIdenticalToUnbounded) {
-  core::DegreeCache cache(&db());
-  db().AttachDegreeCache(&cache);
+  db().ConfigureCaches({.enable_interpretation = true});
+  auto force_plan = [this](core::PlanForce force) {
+    core::EngineOptions options = db().options();
+    options.force_plan = force;
+    db().SetQueryOptions(options);
+  };
   for (const auto& sql : Queries()) {
     db().SetNumThreads(1);
     db().SetTraceLevel(obs::TraceLevel::kOff);
-    db().mutable_options()->force_plan = core::PlanForce::kDenseScan;
+    force_plan(core::PlanForce::kDenseScan);
     auto reference = db().Execute(sql);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     for (const auto force :
@@ -182,7 +226,7 @@ TEST_F(DeadlineTest, HugeBudgetBitIdenticalToUnbounded) {
                        std::to_string(static_cast<int>(level)));
           db().SetNumThreads(threads);
           db().SetTraceLevel(level);
-          db().mutable_options()->force_plan = force;
+          force_plan(force);
           CancellationToken token;  // Armed but never cancelled.
           core::QueryControl control;
           control.deadline = QueryDeadline::AfterMillis(1e9);
@@ -196,10 +240,10 @@ TEST_F(DeadlineTest, HugeBudgetBitIdenticalToUnbounded) {
       }
     }
   }
-  db().mutable_options()->force_plan = core::PlanForce::kAuto;
+  force_plan(core::PlanForce::kAuto);
   db().SetTraceLevel(obs::TraceLevel::kOff);
   db().SetNumThreads(1);
-  db().AttachDegreeCache(nullptr);
+  db().ConfigureCaches({});
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
-// Unit coverage for DegreeCache: property-style agreement between
-// conjunctive top-k queries served through an attached warm cache and
-// the same queries with no cache, on randomized predicate subsets
-// (seeded RNG), plus hit/miss accounting and reference stability.
+// Unit coverage for the degree lists the interpretation cache holds
+// (Section 3.3's pre-computed degrees of truth): property-style
+// agreement between conjunctive top-k queries served from warm lists
+// and the same queries with caching off, on randomized predicate
+// subsets (seeded RNG), plus hit/miss accounting and list lifetime.
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cache/interpretation_cache.h"
 #include "common/rng.h"
-#include "core/degree_cache.h"
+#include "common/string_util.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
 
@@ -37,6 +40,8 @@ class DegreeCacheTest : public ::testing::Test {
     artifacts_ = nullptr;
   }
 
+  void TearDown() override { db().ConfigureCaches({}); }
+
   core::OpineDb& db() const { return *artifacts_->db; }
 
   /// The predicate universe: every marker plus a slice of the generated
@@ -59,15 +64,30 @@ class DegreeCacheTest : public ::testing::Test {
     return universe;
   }
 
+  /// The resident degree list of `predicate` at the current epoch, or
+  /// nullptr.
+  std::shared_ptr<const std::vector<double>> ResidentList(
+      const std::string& predicate) const {
+    cache::InterpretationCache::Entry entry;
+    if (!db().interpretation_cache()->Lookup(NormalizePredicate(predicate),
+                                             db().cache_epoch(), &entry)) {
+      return nullptr;
+    }
+    return entry.degrees;
+  }
+
+  static std::string Sql(const std::string& predicate) {
+    return "select * from hotels where \"" + predicate + "\" limit 5";
+  }
+
   static eval::DomainArtifacts* artifacts_;
 };
 
 eval::DomainArtifacts* DegreeCacheTest::artifacts_ = nullptr;
 
-// An attached warm cache only changes where the degree lists come from:
-// every conjunctive top-k stays bit-identical to the uncached scan.
+// Warm lists only change where the degree lists come from: every
+// conjunctive top-k stays bit-identical to the uncached scan.
 TEST_F(DegreeCacheTest, TopKAgreesWithFullScanOnRandomizedPredicates) {
-  core::DegreeCache cache(&db());
   const auto universe = PredicateUniverse();
   ASSERT_GE(universe.size(), 4u);
   Rng rng(20260806);
@@ -75,9 +95,11 @@ TEST_F(DegreeCacheTest, TopKAgreesWithFullScanOnRandomizedPredicates) {
   for (int trial = 0; trial < kTrials; ++trial) {
     const size_t width = 1 + rng.Below(4);  // 1..4 predicates.
     std::string where;
+    std::vector<std::string> predicates;
     for (size_t index : rng.SampleIndices(universe.size(), width)) {
       if (!where.empty()) where += " and ";
       where += "\"" + universe[index] + "\"";
+      predicates.push_back(universe[index]);
     }
     const size_t k = 1 + rng.Below(db().corpus().num_entities());
     const std::string sql = "select * from hotels where " + where +
@@ -85,15 +107,22 @@ TEST_F(DegreeCacheTest, TopKAgreesWithFullScanOnRandomizedPredicates) {
     SCOPED_TRACE("trial " + std::to_string(trial) + ": " + sql);
     auto uncached = db().Execute(sql);
     ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
-    db().AttachDegreeCache(&cache);
+    db().ConfigureCaches({.enable_interpretation = true});
+    const cache::InterpretationCache& memo = *db().interpretation_cache();
     auto fill = db().Execute(sql);  // Makes every list resident.
-    const core::DegreeCache::CacheStats before = cache.stats();
+    const uint64_t hits_before = memo.hits();
+    const uint64_t misses_before = memo.misses();
     auto warm = db().Execute(sql);
-    db().AttachDegreeCache(nullptr);
     ASSERT_TRUE(fill.ok()) << fill.status().ToString();
     ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-    EXPECT_EQ(cache.stats().hits - before.hits, width);
-    EXPECT_EQ(cache.stats().misses - before.misses, 0u);
+    EXPECT_EQ(memo.hits() - hits_before, width);
+    EXPECT_EQ(memo.misses() - misses_before, 0u);
+    for (const auto& predicate : predicates) {
+      const auto list = ResidentList(predicate);
+      ASSERT_NE(list, nullptr) << predicate;
+      EXPECT_EQ(list->size(), db().corpus().num_entities());
+    }
+    db().ConfigureCaches({});
     ASSERT_EQ(uncached->results.size(), warm->results.size());
     for (size_t i = 0; i < warm->results.size(); ++i) {
       EXPECT_EQ(uncached->results[i].entity, warm->results[i].entity)
@@ -114,33 +143,39 @@ TEST_F(DegreeCacheTest, TopKAgreesWithFullScanOnRandomizedPredicates) {
 }
 
 TEST_F(DegreeCacheTest, HitMissCountersTrackTraffic) {
-  core::DegreeCache cache(&db());
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 0u);
-  cache.Degrees("clean room");
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  cache.Degrees("clean room");
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  // Clear drops the lists but keeps the monotone counters.
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  cache.Degrees("clean room");
-  EXPECT_EQ(cache.stats().misses, 2u);
+  db().ConfigureCaches({.enable_interpretation = true});
+  cache::InterpretationCache& memo = *db().interpretation_cache();
+  EXPECT_EQ(memo.hits(), 0u);
+  EXPECT_EQ(memo.misses(), 0u);
+  ASSERT_TRUE(db().Execute(Sql("clean room")).ok());
+  EXPECT_EQ(memo.misses(), 1u);
+  EXPECT_EQ(memo.hits(), 0u);
+  ASSERT_TRUE(db().Execute(Sql("clean room")).ok());
+  EXPECT_EQ(memo.misses(), 1u);
+  EXPECT_EQ(memo.hits(), 1u);
+  // Clear drops the entries but keeps the monotone counters.
+  memo.Clear();
+  EXPECT_EQ(memo.size(), 0u);
+  ASSERT_TRUE(db().Execute(Sql("clean room")).ok());
+  EXPECT_EQ(memo.misses(), 2u);
 }
 
+// A list is shared, not borrowed: whoever holds it keeps it intact
+// through later inserts (shard rehashes), overwrites and a Clear().
 TEST_F(DegreeCacheTest, StableReferencesAcrossLaterInserts) {
-  core::DegreeCache cache(&db());
-  const auto& first = cache.Degrees("clean room");
-  const std::vector<double> snapshot = first;
+  db().ConfigureCaches({.enable_interpretation = true});
+  ASSERT_TRUE(db().Execute(Sql("clean room")).ok());
+  const auto first = ResidentList("clean room");
+  ASSERT_NE(first, nullptr);
+  const std::vector<double> snapshot = *first;
   // Pile on enough inserts to force rehashes inside the shards.
   for (const auto& predicate : PredicateUniverse()) {
-    cache.Degrees(predicate);
+    ASSERT_TRUE(db().Execute(Sql(predicate)).ok());
   }
-  ASSERT_EQ(first.size(), snapshot.size());
+  db().interpretation_cache()->Clear();
+  ASSERT_EQ(first->size(), snapshot.size());
   for (size_t e = 0; e < snapshot.size(); ++e) {
-    EXPECT_EQ(first[e], snapshot[e]);
+    EXPECT_EQ((*first)[e], snapshot[e]);
   }
 }
 

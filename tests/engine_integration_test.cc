@@ -348,12 +348,14 @@ TEST_F(EngineIntegrationTest, NegatedPredicateInvertsPreference) {
 
 TEST_F(EngineIntegrationTest, GodelVariantStillRanksSanely) {
   auto* mutable_db = artifacts_->db.get();
-  const auto saved = db().options().variant;
-  mutable_db->mutable_options()->variant = fuzzy::Variant::kGodel;
+  const core::EngineOptions saved = db().options();
+  core::EngineOptions godel = saved;
+  godel.variant = fuzzy::Variant::kGodel;
+  mutable_db->SetQueryOptions(godel);
   auto result = db().Execute(
       "select * from hotels where \"clean room\" and \"friendly staff\" "
       "limit 10");
-  mutable_db->mutable_options()->variant = saved;
+  mutable_db->SetQueryOptions(saved);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->results.size(), 10u);
   for (size_t i = 1; i < result->results.size(); ++i) {
@@ -375,14 +377,17 @@ TEST_F(EngineIntegrationTest, NoMarkerModeAgreesOnTopEntityQuality) {
   // The Table 7 ablation path: switching to no-marker features still
   // surfaces high-cleanliness entities for "clean room".
   auto* mutable_db = artifacts_->db.get();
-  mutable_db->mutable_options()->use_markers = false;
+  const core::EngineOptions saved = db().options();
+  core::EngineOptions no_markers = saved;
+  no_markers.use_markers = false;
+  mutable_db->SetQueryOptions(no_markers);
   auto tuples = eval::MakeMembershipTuples(db(), domain(),
                                            artifacts_->pool, 500, false, 5);
   mutable_db->TrainMembership(tuples, 6);
   auto result = db().Execute(
       "select * from hotels where \"clean room\" limit 10");
   // Restore.
-  mutable_db->mutable_options()->use_markers = true;
+  mutable_db->SetQueryOptions(saved);
   auto restored = eval::MakeMembershipTuples(db(), domain(),
                                              artifacts_->pool, 500, true, 5);
   mutable_db->TrainMembership(restored, 6);

@@ -1,12 +1,16 @@
 // Tests for the extension features: the degree-of-truth cache,
 // user-profile personalization, unexpectedness mining, and
 // serialization round-trips.
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/degree_cache.h"
+#include "cache/interpretation_cache.h"
+#include "common/string_util.h"
 #include "core/personalize.h"
 #include "core/serialize.h"
 #include "datagen/domain_spec.h"
@@ -37,6 +41,8 @@ class ExtensionsTest : public ::testing::Test {
     artifacts_ = nullptr;
   }
 
+  void TearDown() override { db().ConfigureCaches({}); }
+
   core::OpineDb& db() const { return *artifacts_->db; }
 
   static eval::DomainArtifacts* artifacts_;
@@ -44,76 +50,103 @@ class ExtensionsTest : public ::testing::Test {
 
 eval::DomainArtifacts* ExtensionsTest::artifacts_ = nullptr;
 
-// --------------------------------------------------------- DegreeCache.
+// ------------------------------------------- Degree-of-truth caching.
+
+/// The resident degree list of `predicate` at the current epoch, or
+/// nullptr.
+std::shared_ptr<const std::vector<double>> ResidentList(
+    const core::OpineDb& db, const std::string& predicate) {
+  cache::InterpretationCache::Entry entry;
+  if (!db.interpretation_cache()->Lookup(NormalizePredicate(predicate),
+                                         db.cache_epoch(), &entry)) {
+    return nullptr;
+  }
+  return entry.degrees;
+}
+
+std::string Sql(const std::string& predicate) {
+  return "select * from hotels where \"" + predicate + "\" limit 5";
+}
 
 TEST_F(ExtensionsTest, DegreeCacheMatchesDirectEvaluation) {
-  core::DegreeCache cache(&db());
-  const auto& degrees = cache.Degrees("clean room");
-  ASSERT_EQ(degrees.size(), db().corpus().num_entities());
-  for (size_t e = 0; e < degrees.size(); ++e) {
-    EXPECT_NEAR(degrees[e],
-                db().PredicateDegreeOfTruth(
-                    "clean room", static_cast<text::EntityId>(e)),
-                1e-12);
+  db().ConfigureCaches({.enable_interpretation = true});
+  ASSERT_TRUE(db().Execute(Sql("clean room")).ok());
+  const auto degrees = ResidentList(db(), "clean room");
+  db().ConfigureCaches({});
+  ASSERT_NE(degrees, nullptr);
+  ASSERT_EQ(degrees->size(), db().corpus().num_entities());
+  for (size_t e = 0; e < degrees->size(); ++e) {
+    EXPECT_EQ((*degrees)[e],
+              db().PredicateDegreeOfTruth("clean room",
+                                          static_cast<text::EntityId>(e)));
   }
 }
 
 TEST_F(ExtensionsTest, DegreeCacheCachesByText) {
-  core::DegreeCache cache(&db());
-  EXPECT_FALSE(cache.Contains("friendly staff"));
-  cache.Degrees("friendly staff");
-  EXPECT_TRUE(cache.Contains("friendly staff"));
-  EXPECT_EQ(cache.size(), 1u);
-  cache.Degrees("friendly staff");
-  EXPECT_EQ(cache.size(), 1u);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
+  db().ConfigureCaches({.enable_interpretation = true});
+  cache::InterpretationCache& memo = *db().interpretation_cache();
+  EXPECT_EQ(ResidentList(db(), "friendly staff"), nullptr);
+  ASSERT_TRUE(db().Execute(Sql("friendly staff")).ok());
+  EXPECT_NE(ResidentList(db(), "friendly staff"), nullptr);
+  EXPECT_EQ(memo.size(), 1u);
+  // Keyed by the normalized text: case and spacing share the entry.
+  ASSERT_TRUE(db().Execute(Sql("Friendly  STAFF")).ok());
+  EXPECT_EQ(memo.size(), 1u);
+  memo.Clear();
+  EXPECT_EQ(memo.size(), 0u);
 }
 
-TEST_F(ExtensionsTest, PrecomputeMarkersMaterializesEveryMarker) {
-  core::DegreeCache cache(&db());
-  const size_t materialized = cache.PrecomputeMarkers();
-  size_t expected = 0;
+TEST_F(ExtensionsTest, MarkerQueriesMaterializeEveryMarkerList) {
+  db().ConfigureCaches({.enable_interpretation = true});
+  std::set<std::string> markers;
   for (const auto& attribute : db().schema().attributes) {
-    expected += attribute.summary_type.markers.size();
+    for (const auto& marker : attribute.summary_type.markers) {
+      markers.insert(NormalizePredicate(marker));
+    }
+  }
+  ASSERT_FALSE(markers.empty());
+  for (const auto& marker : markers) {
+    ASSERT_TRUE(db().Execute(Sql(marker)).ok()) << marker;
   }
   // Duplicated marker phrases across attributes cache once.
-  EXPECT_LE(materialized, expected);
-  EXPECT_GT(materialized, 0u);
-  EXPECT_EQ(cache.size(), materialized);
+  EXPECT_EQ(db().interpretation_cache()->size(), markers.size());
+  for (const auto& marker : markers) {
+    const auto list = ResidentList(db(), marker);
+    ASSERT_NE(list, nullptr) << marker;
+    EXPECT_EQ(list->size(), db().corpus().num_entities());
+  }
 }
 
 namespace {
+
+/// Interpretation-cache traffic over one run.
+struct Traffic {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
 
 struct WarmRun {
   core::QueryResult uncached;
   core::QueryResult warm;
   /// The cache's own hit/miss traffic during each cached run.
-  core::DegreeCache::CacheStats fill_traffic;
-  core::DegreeCache::CacheStats warm_traffic;
+  Traffic fill_traffic;
+  Traffic warm_traffic;
 };
 
-core::DegreeCache::CacheStats Traffic(
-    const core::DegreeCache::CacheStats& before,
-    const core::DegreeCache::CacheStats& after) {
-  return {after.hits - before.hits, after.misses - before.misses};
-}
-
-// Runs `sql` without a degree cache, then twice with `cache` attached
-// (the first run fills it, the second is served warm).
-WarmRun RunUncachedThenWarm(core::OpineDb& db, core::DegreeCache* cache,
-                            const std::string& sql) {
+// Runs `sql` with caching off, then twice with the interpretation cache
+// on (the first run fills it, the second is served warm).
+WarmRun RunUncachedThenWarm(core::OpineDb& db, const std::string& sql) {
   WarmRun run;
   auto uncached = db.Execute(sql);
   EXPECT_TRUE(uncached.ok()) << uncached.status().ToString();
-  db.AttachDegreeCache(cache);
-  const core::DegreeCache::CacheStats start = cache->stats();
+  db.ConfigureCaches({.enable_interpretation = true});
+  const cache::InterpretationCache& memo = *db.interpretation_cache();
   auto fill = db.Execute(sql);
-  const core::DegreeCache::CacheStats filled = cache->stats();
+  run.fill_traffic = {memo.hits(), memo.misses()};
   auto warm = db.Execute(sql);
-  run.fill_traffic = Traffic(start, filled);
-  run.warm_traffic = Traffic(filled, cache->stats());
-  db.AttachDegreeCache(nullptr);
+  run.warm_traffic = {memo.hits() - run.fill_traffic.hits,
+                      memo.misses() - run.fill_traffic.misses};
+  db.ConfigureCaches({});
   EXPECT_TRUE(fill.ok()) << fill.status().ToString();
   EXPECT_TRUE(warm.ok()) << warm.status().ToString();
   if (uncached.ok()) run.uncached = *std::move(uncached);
@@ -136,9 +169,8 @@ void ExpectSameRanking(const core::QueryResult& want,
 // Algorithm plan; warm-cache top-k now runs as a dense scan over the
 // cached degree lists and must rank exactly like the uncached scan.
 TEST_F(ExtensionsTest, ThresholdAlgorithmTopKMatchesFullScan) {
-  core::DegreeCache cache(&db());
   const WarmRun run = RunUncachedThenWarm(
-      db(), &cache,
+      db(),
       "select * from hotels where \"clean room\" and \"friendly staff\" "
       "and \"quiet street\" limit 5");
   EXPECT_EQ(run.warm_traffic.misses, 0u);
@@ -147,9 +179,8 @@ TEST_F(ExtensionsTest, ThresholdAlgorithmTopKMatchesFullScan) {
 }
 
 TEST_F(ExtensionsTest, ThresholdAlgorithmReportsStats) {
-  core::DegreeCache cache(&db());
   const WarmRun run = RunUncachedThenWarm(
-      db(), &cache,
+      db(),
       "select * from hotels where \"clean room\" and \"comfortable bed\" "
       "limit 3");
   EXPECT_GT(run.fill_traffic.misses, 0u);

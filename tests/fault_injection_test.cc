@@ -1,8 +1,10 @@
 // Deterministic fault-injection sweep over the serving path.
 //
 // Every named site in fault::kSites is armed against every plan shape
-// (dense scan, text-fallback scan, filtered scan, cold and warm cached
-// scans, result/interpretation-cached serving). The contract
+// (dense scan, text-fallback scan, filtered scan, cold dense and
+// filtered scans that fill the interpretation cache's degree lists, a
+// warm scan over them, result/interpretation-cached serving). The
+// contract
 // under test:
 //
 //  - no injected fault ever crashes, hangs, or leaks a query — every
@@ -12,8 +14,8 @@
 //    the N-th hit is never reached) perturbs nothing: results stay
 //    bit-identical to the unfaulted run;
 //  - after a fault storm the unfaulted path is fully recovered — and in
-//    particular the degree cache never retains data computed under a
-//    degraded interpretation;
+//    particular the interpretation cache never retains an entry or a
+//    degree list computed under a degraded interpretation;
 //  - the kSites catalog is live: every site is reached by at least one
 //    shape (a stale catalog entry fails the sweep).
 //
@@ -33,7 +35,6 @@
 #include "cache/result_cache.h"
 #include "common/fault.h"
 #include "common/string_util.h"
-#include "core/degree_cache.h"
 #include "core/engine.h"
 #include "core/result_json.h"
 #include "datagen/domain_spec.h"
@@ -151,39 +152,38 @@ std::vector<Shape> MakeShapes(core::OpineDb& db,
   };
   auto plain = [&db, arm](std::string sql) {
     return [&db, arm, sql](const std::string& site) {
-      db.mutable_options()->force_plan = core::PlanForce::kAuto;
       arm(site);
       return db.Execute(sql);
     };
   };
+  const cache::CacheConfig memo_on = {.enable_interpretation = true};
   std::vector<Shape> shapes;
   shapes.push_back({"dense", plain(dense_sql)});
   shapes.push_back({"text_fallback", plain(textfb_sql)});
   shapes.push_back({"filtered", plain(filtered_sql)});
-  shapes.push_back({"cached_cold", [&db, arm, dense_sql](
-                                       const std::string& site) {
-                      core::DegreeCache cache(&db);
-                      db.AttachDegreeCache(&cache);
-                      db.mutable_options()->force_plan =
-                          core::PlanForce::kAuto;
-                      arm(site);
-                      auto run = db.Execute(dense_sql);
-                      db.AttachDegreeCache(nullptr);
-                      return run;
-                    }});
-  shapes.push_back({"dense_warm", [&db, arm, conj_sql](
+  // A fresh interpretation cache: the measured run fills the entry and
+  // then its degree list over every entity (filtered candidates too).
+  auto cached_cold = [&db, arm, memo_on](std::string sql) {
+    return [&db, arm, memo_on, sql](const std::string& site) {
+      db.ConfigureCaches(memo_on);
+      arm(site);
+      auto run = db.Execute(sql);
+      db.ConfigureCaches(cache::CacheConfig());
+      return run;
+    };
+  };
+  shapes.push_back({"cached_cold", cached_cold(dense_sql)});
+  shapes.push_back({"cached_cold_filtered", cached_cold(filtered_sql)});
+  shapes.push_back({"dense_warm", [&db, arm, conj_sql, memo_on](
                                       const std::string& site) {
                       // The measured run reads both lists off the
-                      // resident-list path of the degree cache.
-                      core::DegreeCache cache(&db);
-                      db.AttachDegreeCache(&cache);
-                      db.mutable_options()->force_plan =
-                          core::PlanForce::kAuto;
+                      // interpretation cache's resident entries.
+                      db.ConfigureCaches(memo_on);
                       auto warm = db.Execute(conj_sql);  // Fills both lists.
                       EXPECT_TRUE(warm.ok()) << warm.status().ToString();
                       arm(site);
                       auto run = db.Execute(conj_sql);
-                      db.AttachDegreeCache(nullptr);
+                      db.ConfigureCaches(cache::CacheConfig());
                       return run;
                     }});
   shapes.push_back(
@@ -198,7 +198,6 @@ std::vector<Shape> MakeShapes(core::OpineDb& db,
          on.enable_interpretation = true;
          on.enable_results = true;
          db.ConfigureCaches(on);
-         db.mutable_options()->force_plan = core::PlanForce::kAuto;
          arm(site);
          auto warm = db.Execute(dense_sql);
          EXPECT_TRUE(warm.ok()) << warm.status().ToString();
@@ -293,12 +292,10 @@ TEST_F(FaultInjectionTest, DegradedFlagReportsEveryFallback) {
   }
 }
 
-// The degree cache must never retain a list computed under a degraded
-// interpretation: arm the word2vec stage so its failure lands inside
-// the cache's own Interpret call (hit 1 is the query prologue, hit 2
-// the cache compute). The compute aborts, nothing is cached, and the
-// query falls back to local scoring with the clean prologue
-// interpretation — bit-identical to the unfaulted run.
+// The interpretation cache must never retain a list computed under a
+// degraded interpretation or with a per-entity fallback: the query
+// still answers (degraded), nothing is cached, and the next unfaulted
+// query repairs the cache with a clean entry and list.
 TEST_F(FaultInjectionTest, FaultsNeverPoisonTheDegreeCache) {
   const auto atom_preds = AtomPredicates(1);
   ASSERT_FALSE(atom_preds.empty());
@@ -306,23 +303,34 @@ TEST_F(FaultInjectionTest, FaultsNeverPoisonTheDegreeCache) {
       "select * from hotels where \"" + atom_preds[0] + "\" limit 5";
   auto reference = db().Execute(sql);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  core::DegreeCache cache(&db());
-  db().AttachDegreeCache(&cache);
-  fault::Arm("interpret.w2v", 2);
-  auto run = db().Execute(sql);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_TRUE(run->degraded);
-  ExpectBitIdentical(*reference, *run);
-  // The poisoned compute was discarded, not cached.
-  EXPECT_FALSE(cache.Contains(atom_preds[0]));
-  fault::DisarmAll();
-  // The next (unfaulted) query repairs the cache with a clean list.
-  auto repaired = db().Execute(sql);
-  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
-  EXPECT_FALSE(repaired->degraded);
-  ExpectBitIdentical(*reference, *repaired);
-  EXPECT_TRUE(cache.Contains(atom_preds[0]));
-  db().AttachDegreeCache(nullptr);
+  for (const char* site : {"interpret.w2v", "score.features"}) {
+    SCOPED_TRACE(site);
+    db().ConfigureCaches({.enable_interpretation = true});
+    const cache::InterpretationCache& memo = *db().interpretation_cache();
+    fault::Arm(site, 1);
+    auto run = db().Execute(sql);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_GT(fault::HitCount(site), 0u);
+    EXPECT_TRUE(run->degraded);
+    fault::DisarmAll();
+    cache::InterpretationCache::Entry entry;
+    const std::string key = NormalizePredicate(atom_preds[0]);
+    // The poisoned list was discarded, not cached.
+    EXPECT_TRUE(!memo.Lookup(key, db().cache_epoch(), &entry) ||
+                entry.degrees == nullptr);
+    // The next (unfaulted) query repairs the cache with a clean list.
+    auto repaired = db().Execute(sql);
+    ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+    EXPECT_FALSE(repaired->degraded);
+    ExpectBitIdentical(*reference, *repaired);
+    ASSERT_TRUE(memo.Lookup(key, db().cache_epoch(), &entry));
+    EXPECT_NE(entry.degrees, nullptr);
+    auto warm = db().Execute(sql);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_FALSE(warm->degraded);
+    ExpectBitIdentical(*reference, *warm);
+    db().ConfigureCaches(cache::CacheConfig());
+  }
 }
 
 // A fault at the result-cache fill site must leave the cache exactly as

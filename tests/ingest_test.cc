@@ -5,12 +5,12 @@
 //  1. append ≡ rebuild: appending batches and then Reaggregate-ing the
 //     extended extraction relation must not change a byte of any
 //     answer — the additive fold is exact, not approximate;
-//  2. surgical cache maintenance: per-entity data epochs move only for
-//     touched entities, the attached degree cache stays warm for
-//     untouched predicates/entities, interpretation-cache entries expire
-//     with the epoch and are re-derived on their next lookup, and
-//     refused mutations leave the epoch alone (min_reviewer_reviews,
-//     unknown entities);
+//  2. lazy cache maintenance: per-entity data epochs move only for
+//     touched entities, interpretation-cache entries and their degree
+//     lists expire with the epoch and are re-derived on their next
+//     lookup (bit-identical to a cold engine's), the exclusive fold
+//     itself interprets nothing, and refused mutations leave the epoch
+//     alone (min_reviewer_reviews, unknown entities);
 //  3. durability: EnableWal → append → reopen-from-snapshot → EnableWal
 //     replays the tail bit-identically; Checkpoint folds the log into
 //     the next snapshot generation and retires the segment; the
@@ -30,6 +30,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -42,10 +43,11 @@
 #include "common/fault.h"
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "core/degree_cache.h"
 #include "core/engine.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "server/server.h"
 #include "storage/wal.h"
 
@@ -270,32 +272,72 @@ TEST_F(IngestTest, AppendUpdatesOnlyTouchedEntityEpochs) {
   EXPECT_TRUE(touched_changed) << "entity 1's summaries did not change";
 }
 
-TEST_F(IngestTest, DegreeCacheStaysWarmForUntouchedPredicates) {
+/// The resident degree list of `predicate` in `db`'s interpretation
+/// cache at the current epoch, or nullptr.
+std::shared_ptr<const std::vector<double>> ResidentList(
+    const core::OpineDb& db, const std::string& predicate) {
+  cache::InterpretationCache::Entry entry;
+  if (!db.interpretation_cache()->Lookup(NormalizePredicate(predicate),
+                                         db.cache_epoch(), &entry)) {
+    return nullptr;
+  }
+  return entry.degrees;
+}
+
+// A degree list memoized before an append is stale afterwards; the next
+// reader re-derives it, and what it reads is bit-identical to the list
+// a cold engine fed the same batch computes.
+TEST_F(IngestTest, MemoizedListRederivesLazilyAfterAppend) {
+  eval::DomainArtifacts warm = BuildEngine();
+  eval::DomainArtifacts cold = BuildEngine();
+  warm.db->ConfigureCaches({.enable_interpretation = true});
+  const auto queries = PoolQueries(warm, 4);
+  for (const std::string& sql : queries) (void)MustExecute(*warm.db, sql);
+  ASSERT_NE(ResidentList(*warm.db, warm.pool[0].text), nullptr);
+
+  const auto batch = MakeBatch(
+      5, 4, static_cast<int32_t>(warm.db->corpus().num_entities()));
+  ASSERT_TRUE(warm.db->AppendReviews(batch).ok());
+  ASSERT_TRUE(cold.db->AppendReviews(batch).ok());
+  EXPECT_EQ(ResidentList(*warm.db, warm.pool[0].text), nullptr)
+      << "the ingest re-tagged a resident degree list";
+
+  cold.db->ConfigureCaches({.enable_interpretation = true});
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ExpectBitIdentical(MustExecute(*cold.db, queries[i]),
+                       MustExecute(*warm.db, queries[i]), queries[i]);
+    const auto want = ResidentList(*cold.db, warm.pool[i].text);
+    const auto got = ResidentList(*warm.db, warm.pool[i].text);
+    ASSERT_NE(want, nullptr) << queries[i];
+    ASSERT_NE(got, nullptr) << queries[i];
+    EXPECT_EQ(*want, *got) << queries[i];
+  }
+}
+
+// Cache maintenance is one epoch bump: however many degree lists are
+// resident, the exclusive fold re-interprets none of them.
+TEST_F(IngestTest, AppendMakesNoInterpretCallsWithWarmLists) {
   eval::DomainArtifacts artifacts = BuildEngine();
   core::OpineDb& db = *artifacts.db;
-  core::DegreeCache cache(&db);
-  db.AttachDegreeCache(&cache);
-
-  // Warm one predicate list, then ingest. The refreshed cache must
-  // serve it without recomputation — only touched entity slots are
-  // patched in place.
-  const std::string predicate = artifacts.pool[0].text;
-  (void)cache.Degrees(predicate);
-  const auto warm = cache.stats();
-
-  ASSERT_TRUE(db.AppendReviews(MakeBatch(1, 2, static_cast<int32_t>(
+  db.ConfigureCaches({.enable_interpretation = true});
+  const std::string table = db.schema().objective_table;
+  for (const auto& attribute : db.schema().attributes) {
+    for (const auto& marker : attribute.summary_type.markers) {
+      (void)MustExecute(db, "select * from " + table + " where \"" +
+                                marker + "\" limit 3");
+      ASSERT_NE(ResidentList(db, marker), nullptr) << marker;
+    }
+  }
+  db.SetTraceLevel(obs::TraceLevel::kStats);
+  const auto* calls =
+      obs::MetricsRegistry::Global().GetCounter("interpreter.calls");
+  const uint64_t calls_before = calls->Value();
+  ASSERT_TRUE(db.AppendReviews(MakeBatch(9, 3, static_cast<int32_t>(
                                                    db.corpus().num_entities())))
                   .ok());
-  (void)cache.Degrees(predicate);
-  const auto after = cache.stats();
-  EXPECT_EQ(after.hits, warm.hits + 1)
-      << "ingest must not evict warm degree lists";
-  EXPECT_EQ(after.misses, warm.misses);
-
-  // The patched list itself must be bit-identical to a cold recompute.
-  core::DegreeCache cold(&db);
-  EXPECT_EQ(cache.Degrees(predicate), cold.Degrees(predicate));
-  db.AttachDegreeCache(nullptr);
+  const uint64_t fold_calls = calls->Value() - calls_before;
+  db.SetTraceLevel(obs::TraceLevel::kOff);
+  EXPECT_EQ(fold_calls, 0u);
 }
 
 // The ingest leaves interpretation-cache entries behind at the old

@@ -10,9 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/interpretation_cache.h"
 #include "common/deadline.h"
 #include "common/rng.h"
-#include "core/degree_cache.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
 #include "obs/trace.h"
@@ -135,18 +135,24 @@ void ExpectBitIdentical(const core::QueryResult& reference,
   }
 }
 
+void ForcePlan(core::OpineDb& db, core::PlanForce force) {
+  core::EngineOptions options = db.options();
+  options.force_plan = force;
+  db.SetQueryOptions(options);
+}
+
 TEST_P(PlanEquivalenceTest, EveryEligiblePlanBitIdenticalToDense) {
   core::OpineDb& db = *Fixture(GetParam()).db;
-  core::DegreeCache cache(&db);
-  db.AttachDegreeCache(&cache);
+  db.ConfigureCaches({.enable_interpretation = true});
   std::set<core::PlanKind> plans_run;
   for (const auto& sql : MakeQueries(GetParam())) {
     // Reference: the pre-planner dense path, serial, trace off. Running
-    // it with the cache attached also warms every subjective predicate,
-    // so the sweep below runs over resident lists.
+    // it with the interpretation cache on also warms every subjective
+    // predicate's degree list, so the sweep below runs over resident
+    // lists.
     db.SetNumThreads(1);
     db.SetTraceLevel(obs::TraceLevel::kOff);
-    db.mutable_options()->force_plan = core::PlanForce::kDenseScan;
+    ForcePlan(db, core::PlanForce::kDenseScan);
     auto reference = db.Execute(sql);
     ASSERT_TRUE(reference.ok()) << sql << ": "
                                 << reference.status().ToString();
@@ -163,7 +169,7 @@ TEST_P(PlanEquivalenceTest, EveryEligiblePlanBitIdenticalToDense) {
                        std::to_string(static_cast<int>(level)));
           db.SetNumThreads(threads);
           db.SetTraceLevel(level);
-          db.mutable_options()->force_plan = force;
+          ForcePlan(db, force);
           auto run = db.Execute(sql);
           ASSERT_TRUE(run.ok()) << run.status().ToString();
           plans_run.insert(run->plan);
@@ -176,15 +182,16 @@ TEST_P(PlanEquivalenceTest, EveryEligiblePlanBitIdenticalToDense) {
   // eligibility regression would funnel everything into dense).
   EXPECT_EQ(plans_run.size(), 2u);
 
-  db.mutable_options()->force_plan = core::PlanForce::kAuto;
+  ForcePlan(db, core::PlanForce::kAuto);
   db.SetTraceLevel(obs::TraceLevel::kOff);
   db.SetNumThreads(1);
-  db.AttachDegreeCache(nullptr);
+  db.ConfigureCaches({});
 }
 
-// With a cache attached, a warm conjunctive all-subjective query still
-// plans dense_scan — the lists come from the cache instead of per-query
-// scoring — and answers exactly what the uncached engine answers.
+// With the interpretation cache on, a warm conjunctive all-subjective
+// query still plans dense_scan — the lists come from the cache instead
+// of per-query scoring — and answers exactly what the uncached engine
+// answers.
 TEST_P(PlanEquivalenceTest, AutoPicksDenseOnWarmConjunctiveQueries) {
   core::OpineDb& db = *Fixture(GetParam()).db;
   const std::string table =
@@ -197,20 +204,21 @@ TEST_P(PlanEquivalenceTest, AutoPicksDenseOnWarmConjunctiveQueries) {
   db.SetNumThreads(1);
   auto uncached = db.Execute(sql);
   ASSERT_TRUE(uncached.ok());
-  core::DegreeCache cache(&db);
-  db.AttachDegreeCache(&cache);
+  db.ConfigureCaches({.enable_interpretation = true});
+  const cache::InterpretationCache& memo = *db.interpretation_cache();
   auto cold = db.Execute(sql);  // Makes both lists resident.
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(cold->plan, core::PlanKind::kDenseScan);
-  const core::DegreeCache::CacheStats before = cache.stats();
+  const uint64_t hits_before = memo.hits();
+  const uint64_t misses_before = memo.misses();
   auto warm = db.Execute(sql);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm->plan, core::PlanKind::kDenseScan);
-  EXPECT_EQ(cache.stats().hits - before.hits, 2u);
-  EXPECT_EQ(cache.stats().misses - before.misses, 0u);
+  EXPECT_EQ(memo.hits() - hits_before, 2u);
+  EXPECT_EQ(memo.misses() - misses_before, 0u);
   EXPECT_EQ(warm->watermark, db.corpus().num_entities());
   ExpectBitIdentical(*uncached, *warm);
-  db.AttachDegreeCache(nullptr);
+  db.ConfigureCaches({});
 }
 
 // §5e extension of the equivalence contract: an armed-but-never-firing
@@ -220,14 +228,13 @@ TEST_P(PlanEquivalenceTest, AutoPicksDenseOnWarmConjunctiveQueries) {
 // level, with partial never set.
 TEST_P(PlanEquivalenceTest, HugeDeadlineBudgetIsInvisible) {
   core::OpineDb& db = *Fixture(GetParam()).db;
-  core::DegreeCache cache(&db);
-  db.AttachDegreeCache(&cache);
+  db.ConfigureCaches({.enable_interpretation = true});
   core::QueryControl control;
   control.deadline = QueryDeadline::AfterMillis(1e9);
   for (const auto& sql : MakeQueries(GetParam())) {
     db.SetNumThreads(1);
     db.SetTraceLevel(obs::TraceLevel::kOff);
-    db.mutable_options()->force_plan = core::PlanForce::kDenseScan;
+    ForcePlan(db, core::PlanForce::kDenseScan);
     auto reference = db.Execute(sql);
     ASSERT_TRUE(reference.ok()) << sql << ": "
                                 << reference.status().ToString();
@@ -243,7 +250,7 @@ TEST_P(PlanEquivalenceTest, HugeDeadlineBudgetIsInvisible) {
                        std::to_string(static_cast<int>(level)));
           db.SetNumThreads(threads);
           db.SetTraceLevel(level);
-          db.mutable_options()->force_plan = force;
+          ForcePlan(db, force);
           auto run = db.Execute(sql, control);
           ASSERT_TRUE(run.ok()) << run.status().ToString();
           EXPECT_FALSE(run->partial);
@@ -253,10 +260,10 @@ TEST_P(PlanEquivalenceTest, HugeDeadlineBudgetIsInvisible) {
       }
     }
   }
-  db.mutable_options()->force_plan = core::PlanForce::kAuto;
+  ForcePlan(db, core::PlanForce::kAuto);
   db.SetTraceLevel(obs::TraceLevel::kOff);
   db.SetNumThreads(1);
-  db.AttachDegreeCache(nullptr);
+  db.ConfigureCaches({});
 }
 
 INSTANTIATE_TEST_SUITE_P(Domains, PlanEquivalenceTest,

@@ -24,7 +24,6 @@ PlannerContext Context(size_t num_entities = 100,
                        PlanForce force = PlanForce::kAuto) {
   PlannerContext context;
   context.num_entities = num_entities;
-  context.cache = nullptr;
   context.force = force;
   return context;
 }

@@ -1,9 +1,9 @@
 // Robustness regression tests (DESIGN.md §5e):
 //
-//  - Reaggregate must invalidate an attached degree cache. The cached
-//    lists were computed against the old summary tables; before the fix
-//    they survived the rebuild and kept answering queries with stale
-//    degrees (this test fails on the unfixed engine).
+//  - Reaggregate must invalidate the interpretation cache's degree
+//    lists. They were computed against the old summary tables; a list
+//    that survived the rebuild would keep answering queries with stale
+//    degrees.
 //  - Reconfiguration (Reaggregate / SetNumThreads / SetTraceLevel) is
 //    serialized against in-flight queries — before the fix,
 //    SetNumThreads destroyed the worker pool a running query had
@@ -22,7 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache_config.h"
-#include "core/degree_cache.h"
+#include "cache/interpretation_cache.h"
 #include "core/engine.h"
 #include "core/membership.h"
 #include "datagen/domain_spec.h"
@@ -73,17 +73,16 @@ void ExpectBitIdentical(const core::QueryResult& reference,
   }
 }
 
-// Regression: before the fix, Reaggregate left the attached cache's
-// stale degree lists resident, so cached queries kept ranking against
-// summaries that no longer existed.
+// Stale degree lists resident after Reaggregate would keep cached
+// queries ranking against summaries that no longer exist.
 TEST_F(RobustnessTest, ReaggregateInvalidatesAttachedDegreeCache) {
   const core::AggregationOptions original = db().options().aggregation;
-  core::DegreeCache cache(&db());
-  db().AttachDegreeCache(&cache);
+  db().ConfigureCaches({.enable_interpretation = true});
+  const cache::InterpretationCache& memo = *db().interpretation_cache();
   // Warm the cache against the current summaries.
   auto warm = db().Execute(Sql());
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  ASSERT_GT(cache.size(), 0u);
+  ASSERT_GT(memo.size(), 0u);
   const uint64_t epoch_before = db().cache_epoch();
 
   // Rebuild the summaries under a meaningfully different aggregation
@@ -93,8 +92,8 @@ TEST_F(RobustnessTest, ReaggregateInvalidatesAttachedDegreeCache) {
   changed.fractional = !original.fractional;
   db().Reaggregate(changed);
 
-  // The stale lists must be gone, and borrowers must be able to see it.
-  EXPECT_EQ(cache.size(), 0u)
+  // The stale lists must be gone, and the epoch must say so.
+  EXPECT_EQ(memo.size(), 0u)
       << "Reaggregate left stale degree lists resident in the cache";
   EXPECT_GT(db().cache_epoch(), epoch_before);
 
@@ -102,7 +101,7 @@ TEST_F(RobustnessTest, ReaggregateInvalidatesAttachedDegreeCache) {
   // the new summaries.
   auto with_cache = db().Execute(Sql());
   ASSERT_TRUE(with_cache.ok()) << with_cache.status().ToString();
-  db().AttachDegreeCache(nullptr);
+  db().ConfigureCaches({});
   auto without_cache = db().Execute(Sql());
   ASSERT_TRUE(without_cache.ok()) << without_cache.status().ToString();
   ExpectBitIdentical(*without_cache, *with_cache);
@@ -211,24 +210,22 @@ TEST_F(RobustnessTest, MembershipDegreeOfTruthClamps) {
   EXPECT_LE(d, 1.0);
 }
 
-// Regression (the ISSUE-6 epoch-audit fix): TrainMembership replaces
-// the membership model — every cached degree list and cached query
-// result was computed through the old model. Before the fix it cleared
-// neither; an attached degree cache kept serving stale degrees exactly
-// like the pre-fix Reaggregate bug above.
+// TrainMembership replaces the membership model — every cached degree
+// list and cached query result was computed through the old model, so
+// it must clear them like Reaggregate does.
 TEST_F(RobustnessTest, TrainMembershipInvalidatesAttachedDegreeCache) {
-  core::DegreeCache cache(&db());
-  db().AttachDegreeCache(&cache);
+  db().ConfigureCaches({.enable_interpretation = true});
+  const cache::InterpretationCache& memo = *db().interpretation_cache();
   auto warm = db().Execute(Sql());
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  ASSERT_GT(cache.size(), 0u);
+  ASSERT_GT(memo.size(), 0u);
   const uint64_t epoch_before = db().cache_epoch();
 
   const auto tuples = eval::MakeMembershipTuples(
       db(), artifacts_->domain, artifacts_->pool, 200, true, 99);
   ASSERT_TRUE(db().TrainMembership(tuples, 9).ok());
 
-  EXPECT_EQ(cache.size(), 0u)
+  EXPECT_EQ(memo.size(), 0u)
       << "TrainMembership left degree lists computed through the old "
          "membership model resident in the cache";
   EXPECT_GT(db().cache_epoch(), epoch_before);
@@ -237,7 +234,7 @@ TEST_F(RobustnessTest, TrainMembershipInvalidatesAttachedDegreeCache) {
   // retrained model.
   auto with_cache = db().Execute(Sql());
   ASSERT_TRUE(with_cache.ok()) << with_cache.status().ToString();
-  db().AttachDegreeCache(nullptr);
+  db().ConfigureCaches({});
   auto without_cache = db().Execute(Sql());
   ASSERT_TRUE(without_cache.ok()) << without_cache.status().ToString();
   ExpectBitIdentical(*without_cache, *with_cache);
@@ -268,11 +265,22 @@ TEST_F(RobustnessTest, EveryMutationBumpsCacheEpochExactlyOnce) {
   db().SetNumThreads(1);
   db().SetTraceLevel(obs::TraceLevel::kStats);
   db().SetTraceLevel(obs::TraceLevel::kOff);
-  core::DegreeCache cache(&db());
-  db().AttachDegreeCache(&cache);
-  db().AttachDegreeCache(nullptr);
+  db().ConfigureCaches({.enable_interpretation = true});
   db().ConfigureCaches(cache::CacheConfig());
+  // SetQueryOptions is a data mutation only when it changes degrees of
+  // truth: unchanged knobs or a forced plan shape are +0, a new t-norm
+  // is +1 (and so is restoring it).
+  const core::EngineOptions saved = db().options();
+  db().SetQueryOptions(saved);
+  core::EngineOptions changed = saved;
+  changed.force_plan = core::PlanForce::kDenseScan;
+  db().SetQueryOptions(changed);
   EXPECT_EQ(db().cache_epoch(), epoch);
+  changed.variant = fuzzy::Variant::kGodel;
+  db().SetQueryOptions(changed);
+  EXPECT_EQ(db().cache_epoch(), ++epoch);
+  db().SetQueryOptions(saved);
+  EXPECT_EQ(db().cache_epoch(), ++epoch);
 
   // Queries: +0.
   auto run = db().Execute(Sql());

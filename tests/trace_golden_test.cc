@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/degree_cache.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
 #include "obs/metrics.h"
@@ -262,8 +261,7 @@ TEST_F(TraceGoldenTest, FilteredScanEmitsObjectiveFilterSpan) {
 
 TEST_F(TraceGoldenTest, WarmConjunctivePlanEmitsScoreSpans) {
   core::OpineDb* db = restaurant_->db.get();
-  core::DegreeCache cache(db);
-  db->AttachDegreeCache(&cache);
+  db->ConfigureCaches({.enable_interpretation = true});
   db->SetTraceLevel(obs::TraceLevel::kFull);
   const std::string sql =
       "select * from restaurants where \"delicious food\" and "
@@ -291,7 +289,7 @@ TEST_F(TraceGoldenTest, WarmConjunctivePlanEmitsScoreSpans) {
     EXPECT_EQ(condition->parent_id, score->id);
     EXPECT_EQ(condition->Attribute("source"), "cache_hit");
   }
-  db->AttachDegreeCache(nullptr);
+  db->ConfigureCaches({});
 }
 
 // --------------------------------------------------- EXPLAIN goldens.
@@ -337,8 +335,7 @@ TEST_F(TraceGoldenTest, RestaurantExplainMatchesGolden) {
 TEST_F(TraceGoldenTest, CacheHitAndMissAreRecordedInSpans) {
   core::OpineDb* db = hotel_->db.get();
   db->SetTraceLevel(obs::TraceLevel::kFull);
-  core::DegreeCache cache(db);
-  db->AttachDegreeCache(&cache);
+  db->ConfigureCaches({.enable_interpretation = true});
   const std::string sql =
       "select * from hotels where \"quiet street\" limit 5";
 
@@ -356,7 +353,7 @@ TEST_F(TraceGoldenTest, CacheHitAndMissAreRecordedInSpans) {
   auto warm = db->Execute(sql);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(source_of(*warm), "cache_hit");
-  db->AttachDegreeCache(nullptr);
+  db->ConfigureCaches({});
 }
 
 TEST_F(TraceGoldenTest, NoTraceBelowFullLevel) {
