@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the core kernels: BM25 top-k,
 // fuzzy evaluation (both t-norm variants — the DESIGN.md ablation),
-// k-d tree search, logistic-regression
-// inference, tokenization, marker-summary aggregation and the
-// observability primitives. After the google-benchmark run, a
-// threads={1,2,4,8} sweep of ExecuteQuery on the seed hotel dataset
+// k-d tree search, logistic-regression inference, tokenization,
+// marker-summary aggregation, one SGNS training run on the seed hotel
+// corpus and the observability primitives. After the google-benchmark
+// run, a threads={1,2,4,8} sweep of ExecuteQuery on the seed hotel dataset
 // writes BENCH_parallel.json (skip with
 // OPINEDB_SKIP_PARALLEL_SWEEP=1), and a trace_level={off,stats,full}
 // sweep of the same query list writes BENCH_obs.json — the
@@ -35,7 +35,9 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/marker_summary.h"
+#include "datagen/generator.h"
 #include "embedding/kdtree.h"
+#include "embedding/word2vec.h"
 #include "fuzzy/logic.h"
 #include "index/inverted_index.h"
 #include "ml/logistic_regression.h"
@@ -148,6 +150,33 @@ void BM_MarkerSummaryAddPhrase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MarkerSummaryAddPhrase);
+
+/// One SGNS training run (default Word2VecOptions) over the tokenized
+/// sentences of the seed hotel corpus — exactly the input
+/// OpineDb::Build trains on, and the largest step of Build.
+void BM_TrainSgns(benchmark::State& state) {
+  const auto domain =
+      datagen::GenerateDomain(datagen::HotelDomain(),
+                              bench::HotelBuildOptions().generator);
+  text::Tokenizer tokenizer;
+  std::vector<std::vector<std::string>> sentences;
+  size_t tokens = 0;
+  for (const auto& review : domain.corpus.reviews()) {
+    for (const auto& sentence :
+         text::Tokenizer::SplitSentences(review.body)) {
+      sentences.push_back(tokenizer.Tokenize(sentence));
+      tokens += sentences.back().size();
+    }
+  }
+  const embedding::Word2VecOptions options;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        embedding::WordEmbeddings::TrainSgns(sentences, options));
+  }
+  state.SetItemsProcessed(state.iterations() * options.epochs *
+                          static_cast<int64_t>(tokens));
+}
+BENCHMARK(BM_TrainSgns)->Unit(benchmark::kMillisecond)->Iterations(3);
 
 // --------------------------------------- Observability primitives.
 

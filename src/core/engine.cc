@@ -1309,7 +1309,7 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   if (output.degraded) query_span.AddAttribute("degraded", true);
   if (options_.trace_level >= obs::TraceLevel::kStats) {
     OPINEDB_METRIC_COUNT("engine.queries", 1);
-    OPINEDB_METRIC_COUNT("engine.entities_scored", output.watermark);
+    OPINEDB_METRIC_COUNT("engine.entities_scored", ctx.entities_scored);
     OPINEDB_METRIC_LATENCY_MS("engine.interpret_ms", interpret_ms);
     OPINEDB_METRIC_LATENCY_MS("engine.scoring_ms", scoring_ms);
     OPINEDB_METRIC_LATENCY_MS("engine.rank_ms", rank_ms);

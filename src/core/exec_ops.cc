@@ -185,8 +185,11 @@ Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
     } else if (should_stop == nullptr || !(*should_stop)()) {
       score_range(0, positions);
     }
+    size_t scored = positions;
     size_t covered = positions;
     if (deadline_active) {
+      scored = 0;
+      for (const auto& [begin, end] : done_ranges) scored += end - begin;
       covered = CoveredPrefix(&done_ranges);
       // Over all entities but ranking candidates: the exact candidates
       // are the (ascending) ones below the covered entity prefix.
@@ -199,6 +202,7 @@ Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
               : covered;
       watermark = std::min(watermark, exact_candidates);
     }
+    ctx->entities_scored = std::max(ctx->entities_scored, scored);
     if (memo != nullptr && covered == positions &&
         !entity_fallback.load(std::memory_order_relaxed)) {
       *memo = std::make_shared<const std::vector<double>>(std::move(list));

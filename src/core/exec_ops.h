@@ -69,6 +69,12 @@ struct ExecContext {
   /// condition list; RankOp only ranks that prefix when partial. Only
   /// meaningful while partial is true.
   size_t watermark = 0;
+  /// Distinct entities a subjective degree of truth was computed for in
+  /// this query (engine.entities_scored): every entity for a dense scan
+  /// or a degree-list fill, the candidates for a filtered scan, none
+  /// when every list was resident. Condition sets nest, so this is the
+  /// widest one; under a deadline cut, the most complete one.
+  size_t entities_scored = 0;
   /// Set (possibly from pool workers, hence atomic) when any stage fell
   /// back to a cheaper path after a failure — the answer is complete
   /// but was not produced on the preferred path.

@@ -542,6 +542,33 @@ TEST_F(CacheEngineTest, PredicateDegreeOfTruthCountsInterpretationHits) {
   EXPECT_EQ(hits->Value() - hits_before, 1u);
 }
 
+// engine.entities_scored counts scoring work, not the ranked candidate
+// set: a filtered query whose degree list misses scores every entity
+// (the list serves later queries with any candidate set), and its
+// repeat, served from the resident list, scores none.
+TEST_F(CacheEngineTest, EntitiesScoredCountsDegreeListWork) {
+  db().ConfigureCaches({.enable_interpretation = true});
+  db().SetTraceLevel(obs::TraceLevel::kStats);
+  const auto* scored =
+      obs::MetricsRegistry::Global().GetCounter("engine.entities_scored");
+  const std::string filtered =
+      "select * from hotels where price_pn < 300 and \"" + predicate_ +
+      "\" limit 5";
+  const uint64_t num_entities = db().corpus().num_entities();
+  const uint64_t before_first = scored->Value();
+  auto first = db().Execute(filtered);
+  const uint64_t after_first = scored->Value();
+  auto repeat = db().Execute(filtered);
+  const uint64_t after_repeat = scored->Value();
+  db().SetTraceLevel(obs::TraceLevel::kOff);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
+  ASSERT_EQ(first->plan, core::PlanKind::kFilteredScan);
+  ASSERT_LT(first->watermark, num_entities) << "the filter keeps everyone";
+  EXPECT_EQ(after_first - before_first, num_entities);
+  EXPECT_EQ(after_repeat - after_first, 0u);
+}
+
 TEST_F(CacheEngineTest, EpochBumpInvalidatesWholesale) {
   auto fill = db().Execute(Sql());
   ASSERT_TRUE(fill.ok()) << fill.status().ToString();
